@@ -8,9 +8,11 @@ and expects one reply object ``{"text": "..."}``. When the episode closes,
 a ``{"type": "end", "session": "<id>", "outcome": "..."}`` notification is
 sent on a best-effort basis. Two transports carry the protocol: a subprocess
 speaking one JSON object per line on stdin/stdout, and an HTTP server
-accepting POSTs on /act. Requests time out and are retried once; a second
-timeout, a dead peer, or a malformed reply aborts the episode via
-AgentTransportError rather than polluting the outcome counts.
+accepting POSTs on /act. A timed-out HTTP request is sent once more; a
+stdio request is waited for once more but never resent, since on an ordered
+pipe its late reply would then answer the next turn. A second timeout, a
+dead peer, or a malformed reply aborts the episode via AgentTransportError
+rather than polluting the outcome counts.
 """
 
 from __future__ import annotations
@@ -113,24 +115,18 @@ class StdioBridgeAgent(Agent):
 
     def respond(self, transcript: list[PromptText]) -> str:
         self._ensure_started()
-        request = {"session": self._session, "messages": _messages(transcript)}
-        for attempt in (1, 2):
-            try:
-                self._send(request)
-            except (OSError, ValueError) as exc:
-                raise AgentTransportError(f"agent pipe closed: {exc}") from exc
-            try:
-                line = self._lines.get(timeout=self._timeout)
-            except queue.Empty:
-                if attempt == 1:
-                    continue
-                raise AgentTransportError(
-                    f"agent timed out twice after {self._timeout}s"
-                ) from None
-            if line is None:
-                raise AgentTransportError("agent closed its stdout")
-            return _parse_reply(line)
-        raise AssertionError("unreachable")
+        try:
+            self._send({"session": self._session, "messages": _messages(transcript)})
+        except (OSError, ValueError) as exc:
+            raise AgentTransportError(f"agent pipe closed: {exc}") from exc
+        # the one send gets both timeout periods: see the module docstring
+        try:
+            line = self._lines.get(timeout=2 * self._timeout)
+        except queue.Empty:
+            raise AgentTransportError(f"agent timed out twice after {self._timeout}s") from None
+        if line is None:
+            raise AgentTransportError("agent closed its stdout")
+        return _parse_reply(line)
 
     def close(self, outcome: str) -> None:
         if self._proc is None:

@@ -173,8 +173,8 @@ def _agent_factory(agent: str, mode: str, timeout: float):
 
 def cmd_eval(args) -> int:
     seed = args.seed if args.seed is not None else default_seed()
-    specs = load_specs(args.test_file)
     try:
+        specs = load_specs(args.test_file)
         factory = _agent_factory(args.agent, args.mode, args.timeout)
     except (ValueError, FileNotFoundError) as exc:
         raise SystemExit(str(exc))

@@ -83,14 +83,11 @@ class SearchTrace:
     def terminal(self) -> Position:
         return self.states[-1] if self.direction is Direction.FWD else self.states[0]
 
-    @property
-    def path(self) -> list[tuple[Action, Position]]:
-        """The solution oriented along the trace direction."""
-        if self.direction is Direction.FWD:
-            return list(zip(self.plan, self.states[1:]))
-        rev_actions = [a.inverse for a in reversed(self.plan)]
-        rev_states = list(reversed(self.states[:-1]))
-        return list(zip(rev_actions, rev_states))
+
+# per direction, (label, dx, dy) for each probe in canonical action order
+_PROBES = {
+    d: tuple((a if d is Direction.FWD else a.inverse, *a.delta) for a in ACTIONS) for d in Direction
+}
 
 
 def build_search_trace(spec: GridSpec, direction: Direction) -> SearchTrace:
@@ -100,6 +97,9 @@ def build_search_trace(spec: GridSpec, direction: Direction) -> SearchTrace:
     states = tuple(path_states(spec, fwd))
     root = states[0] if direction is Direction.FWD else states[-1]
     terminal = states[-1] if direction is Direction.FWD else states[0]
+    min_x, min_y, walls, pits = spec.min_x, spec.min_y, spec.walls, spec.pits
+    max_x, max_y = spec.max_x, spec.max_y
+    probes = _PROBES[direction]
 
     visited = {root}
     frontier = [root]
@@ -108,15 +108,15 @@ def build_search_trace(spec: GridSpec, direction: Direction) -> SearchTrace:
         next_frontier: list[Position] = []
         layer: list[Expansion] = []
         for origin in frontier:
+            x, y = origin
             records = []
-            for action in ACTIONS:
-                dest = action.apply(origin)
-                label = action if direction is Direction.FWD else action.inverse
-                if not spec.in_bounds(dest):
+            for label, dx, dy in probes:
+                dest = (x + dx, y + dy)
+                if not (min_x <= dest[0] <= max_x and min_y <= dest[1] <= max_y):
                     rec = NeighborRecord(dest, label, False, CutReason.OUT_OF_BOUNDS)
-                elif dest in spec.walls:
+                elif dest in walls:
                     rec = NeighborRecord(dest, label, False, CutReason.WALL)
-                elif dest in spec.pits:
+                elif dest in pits:
                     rec = NeighborRecord(dest, label, False, CutReason.PIT)
                 elif dest in visited:
                     rec = NeighborRecord(dest, label, False, CutReason.VISITED)
@@ -244,10 +244,14 @@ def render_parts(spec: GridSpec, variant: CotVariant, strict: bool = False) -> t
     return serialize_thought(trace, variant, strict), serialize_plan(trace.plan)
 
 
-def render_target(spec: GridSpec, variant: CotVariant, strict: bool = False) -> str:
+def join_reply(thought: str, plan: str) -> str:
     """The full reply text: thought (when any) followed by the plan."""
-    thought, plan = render_parts(spec, variant, strict)
     return f"{thought}\n{plan}" if thought else plan
+
+
+def render_target(spec: GridSpec, variant: CotVariant, strict: bool = False) -> str:
+    """The full reply text for an environment under one variant."""
+    return join_reply(*render_parts(spec, variant, strict))
 
 
 class PlanParseError(ValueError):

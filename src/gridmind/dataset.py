@@ -14,11 +14,11 @@ import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from .cogmap import CotVariant, render_parts
+from .cogmap import CotVariant, join_reply, render_parts
 from .generate import GenParams, TEST_PARAMS, TRAIN_PARAMS, generate_indexed
-from .grid import GridSpec, count_simple_paths
+from .grid import GridSpec, count_simple_paths, optimal_path
 from .prompts import GPT, PromptText, render_instruction
-from .stats import StatsReport, complexity, dataset_stats
+from .stats import StatsReport, complexity, record_metrics
 
 TRAIN = "train"
 TEST = "test"
@@ -82,15 +82,12 @@ class DatasetRecord:
         )
 
 
-def build_record(
-    params: GenParams, split: str, variant: CotVariant, index: int, strict: bool = False
-) -> DatasetRecord:
-    """Record ``index`` of the stream: environment, conversation, metrics."""
-    spec = generate_indexed(params, index)
-    thought, plan = render_parts(spec, variant, strict)
-    target = f"{thought}\n{plan}" if thought else plan
+def render_conversation(
+    spec: GridSpec, variant: CotVariant, strict: bool = False
+) -> tuple[list[PromptText], dict[str, int]]:
+    """The four turns a record holds for ``spec``, and their lengths."""
     opening = render_instruction(spec)
-    conversation = opening + [PromptText(GPT, target)]
+    thought, plan = render_parts(spec, variant, strict)
     lengths = {
         "instruction_chars": sum(len(t.text) for t in opening),
         "thought_chars": len(thought),
@@ -99,6 +96,15 @@ def build_record(
         "thought_words": len(thought.split()),
         "plan_words": len(plan.split()),
     }
+    return opening + [PromptText(GPT, join_reply(thought, plan))], lengths
+
+
+def build_record(
+    params: GenParams, split: str, variant: CotVariant, index: int, strict: bool = False
+) -> DatasetRecord:
+    """Record ``index`` of the stream: environment, conversation, metrics."""
+    spec = generate_indexed(params, index)
+    conversation, lengths = render_conversation(spec, variant, strict)
     return DatasetRecord(
         index=index,
         split=split,
@@ -108,20 +114,6 @@ def build_record(
         complexity=complexity(spec),
         lengths=lengths,
     )
-
-
-def iter_records(
-    split: str,
-    variant: CotVariant,
-    count: int,
-    seed: int,
-    start: int = 0,
-    params: GenParams | None = None,
-    strict: bool = False,
-):
-    params = split_params(split, seed, params)
-    for index in range(start, start + count):
-        yield build_record(params, split, variant, index, strict)
 
 
 def shard_ranges(count: int, shards: int) -> list[tuple[int, int]]:
@@ -155,14 +147,16 @@ def generate_dataset(
     """Write the dataset shards plus a stats sidecar; returns written paths."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    params = split_params(split, seed, params)
     report = StatsReport()
     paths = []
     for s, (start, n) in enumerate(shard_ranges(count, shards)):
         path = out / shard_name(split, variant, s, shards)
         with open(path, "w") as fh:
-            for record in iter_records(split, variant, n, seed, start, params, strict):
+            for index in range(start, start + n):
+                record = build_record(params, split, variant, index, strict)
                 fh.write(record.to_json_line() + "\n")
-                report.merge(dataset_stats([record]))
+                report.add(*record_metrics(record))
         paths.append(path)
     sidecar = out / f"{split}-{variant.name}-stats.json"
     sidecar.write_text(json.dumps(report.to_json_dict(), indent=2) + "\n")
@@ -206,7 +200,11 @@ def load_records(target: str | Path) -> list[DatasetRecord]:
 
 
 def load_specs(target: str | Path) -> list[GridSpec]:
-    """Environments from dataset records or bare spec JSON lines."""
+    """Environments from dataset records or bare spec JSON lines.
+
+    Each one must pass ``GridSpec.validate`` and have a reachable goal;
+    otherwise a ValueError names the file and line.
+    """
     specs = []
     for path in dataset_files(target):
         for line_no, obj, err in iter_json_lines(path):
@@ -215,9 +213,12 @@ def load_specs(target: str | Path) -> list[GridSpec]:
             if "spec" in obj:
                 obj = obj["spec"]
             try:
-                specs.append(GridSpec.from_json_dict(obj))
-            except (KeyError, TypeError) as exc:
+                spec = GridSpec.from_json_dict(obj)
+                spec.validate()
+                optimal_path(spec)  # raises when the goal is unreachable
+            except (KeyError, TypeError, ValueError) as exc:
                 raise ValueError(f"{path}:{line_no}: not an environment: {exc}") from exc
+            specs.append(spec)
     return specs
 
 
@@ -261,36 +262,24 @@ def _check_record(obj: dict, flag) -> None:
     except (ValueError, TypeError, KeyError) as exc:
         flag(f"bad environment: {exc}")
         return
-    paths = count_simple_paths(spec, limit=2)
+    paths = count_simple_paths(spec)
     if paths != 1:
         flag(f"expected exactly 1 simple path, found {'2 or more' if paths > 1 else 0}")
         return
     convo = obj["conversation"]
-    opening = render_instruction(spec)
     if len(convo) != 4 or [m.get("role") for m in convo] != ["human", "gpt", "human", "gpt"]:
         flag("conversation must be human/gpt/human/gpt")
         return
-    for i, turn in enumerate(opening):
+    expected, expected_lengths = render_conversation(spec, variant)
+    for i, turn in enumerate(expected[:3]):
         if convo[i]["text"] != turn.text:
             flag(f"opening turn {i} does not match the environment")
             return
-    target = convo[3]["text"]
-    thought, plan = render_parts(spec, variant, strict=False)
-    uniform = f"{thought}\n{plan}" if thought else plan
-    if target != uniform:
-        thought, plan = render_parts(spec, variant, strict=True)
-        strict_target = f"{thought}\n{plan}" if thought else plan
-        if target != strict_target:
+    if convo[3]["text"] != expected[3].text:
+        expected, expected_lengths = render_conversation(spec, variant, strict=True)
+        if convo[3]["text"] != expected[3].text:
             flag("target text does not match the environment")
             return
-    expected_lengths = {
-        "instruction_chars": sum(len(t.text) for t in opening),
-        "thought_chars": len(thought),
-        "plan_chars": len(plan),
-        "instruction_words": sum(len(t.text.split()) for t in opening),
-        "thought_words": len(thought.split()),
-        "plan_words": len(plan.split()),
-    }
     if dict(obj["lengths"]) != expected_lengths:
         flag(f"lengths {obj['lengths']} != {expected_lengths}")
     recomputed = complexity(spec)
@@ -329,5 +318,5 @@ def stats_from_files(target: str | Path) -> StatsReport:
         for line_no, obj, err in iter_json_lines(path):
             if err is not None:
                 raise ValueError(f"{path}:{line_no}: {err}")
-            report.merge(dataset_stats([obj]))
+            report.add(*record_metrics(obj))
     return report

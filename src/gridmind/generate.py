@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .grid import GLOBAL_MAX_COORD, GridSpec, Position, optimal_path, path_states
+from .grid import GLOBAL_MAX_COORD, GridSpec, optimal_path, path_states
 from .stats import complexity
 
 RETRY_BUDGET = 64
@@ -151,18 +151,13 @@ def _attempt(params: GenParams, rng: np.random.Generator, seed: int | None) -> G
         seed=seed,
     )
 
-    on_path = set(path_states(spec, optimal_path(spec)))
-    pits = set()
-    for cell in sorted(walls):
-        x, y = cell
-        beside_path = (
-            (x + 1, y) in on_path
-            or (x - 1, y) in on_path
-            or (x, y + 1) in on_path
-            or (x, y - 1) in on_path
-        )
-        if beside_path and rng.random() < params.pit_density:
-            pits.add(cell)
+    # pits only replace walls, so the free cells and the solution stay put
+    beside_path = {
+        (x + dx, y + dy)
+        for x, y in path_states(spec, optimal_path(spec))
+        for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1))
+    }
+    pits = {cell for cell in sorted(beside_path & walls) if rng.random() < params.pit_density}
     return replace(spec, walls=walls - pits, pits=frozenset(pits))
 
 

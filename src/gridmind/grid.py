@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from functools import cached_property
 import json
 
 Position = tuple[int, int]
@@ -60,6 +61,9 @@ _INVERSES: dict[Action, Action] = {
 
 _BY_WORD: dict[str, Action] = {a.value: a for a in ACTIONS}
 
+# (action, dx, dy) in canonical order, for scans that avoid per-probe calls
+_STEPS: tuple[tuple[Action, int, int], ...] = tuple((a, *_DELTAS[a]) for a in ACTIONS)
+
 GLOBAL_MAX_COORD = 19
 
 
@@ -96,6 +100,38 @@ class GridSpec:
     def is_free(self, pos: Position) -> bool:
         """In bounds and neither wall nor pit. The goal is a free cell."""
         return self.in_bounds(pos) and pos not in self.walls and pos not in self.pits
+
+    @cached_property
+    def _solution(self) -> tuple[tuple[Action, Position], ...] | None:
+        """The BFS start-to-goal trajectory, None when the goal is unreachable.
+
+        Solved on first use and kept on the spec; read it via ``optimal_path``.
+        """
+        start, goal = self.start, self.goal
+        min_x, min_y, walls, pits = self.min_x, self.min_y, self.walls, self.pits
+        max_x, max_y = self.max_x, self.max_y
+        parents: dict[Position, tuple[Position, Action] | None] = {start: None}
+        frontier = [start]
+        while frontier and goal not in parents:
+            nxt: list[Position] = []
+            for pos in frontier:
+                x, y = pos
+                for action, dx, dy in _STEPS:
+                    dest = (x + dx, y + dy)
+                    if (min_x <= dest[0] <= max_x and min_y <= dest[1] <= max_y
+                            and dest not in walls and dest not in pits and dest not in parents):
+                        parents[dest] = (pos, action)
+                        nxt.append(dest)
+            frontier = nxt
+        if goal not in parents:
+            return None
+        path: Trajectory = []
+        cur = goal
+        while cur != start:
+            prev, action = parents[cur]
+            path.append((action, cur))
+            cur = prev
+        return tuple(reversed(path))
 
     def free_cells(self) -> list[Position]:
         """All free cells in lexicographic order."""
@@ -201,14 +237,6 @@ class TransitionResult:
     kind: MoveKind
     dest: Position | None = None
 
-    @property
-    def terminal(self) -> bool:
-        return self.kind in (MoveKind.PIT, MoveKind.REACHED_GOAL)
-
-    @property
-    def blocked(self) -> bool:
-        return self.kind in (MoveKind.BLOCKED_WALL, MoveKind.BLOCKED_BOUNDS)
-
 
 Trajectory = list[tuple[Action, Position]]
 
@@ -237,15 +265,25 @@ def transition(spec: GridSpec, pos: Position, action: Action) -> TransitionResul
     return TransitionResult(MoveKind.MOVED, dest)
 
 
+def _free_moves(spec: GridSpec, pos: Position) -> list[tuple[Action, Position]]:
+    """Moves from ``pos`` that enter a free cell, in canonical action order."""
+    x, y = pos
+    min_x, min_y, walls, pits = spec.min_x, spec.min_y, spec.walls, spec.pits
+    max_x, max_y = min_x + spec.size_x - 1, min_y + spec.size_y - 1
+    out = []
+    for action, dx, dy in _STEPS:
+        nx, ny = x + dx, y + dy
+        if min_x <= nx <= max_x and min_y <= ny <= max_y:
+            dest = (nx, ny)
+            if dest not in walls and dest not in pits:
+                out.append((action, dest))
+    return out
+
+
 def valid_actions(spec: GridSpec, pos: Position) -> list[tuple[Action, Position]]:
     """Moves that enter a free cell (goal included), in canonical action order."""
     _require_standable(spec, pos)
-    out = []
-    for action in ACTIONS:
-        dest = action.apply(pos)
-        if spec.is_free(dest):
-            out.append((action, dest))
-    return out
+    return _free_moves(spec, pos)
 
 
 def optimal_path(spec: GridSpec) -> Trajectory:
@@ -253,32 +291,13 @@ def optimal_path(spec: GridSpec) -> Trajectory:
 
     BFS with canonical action order, so the result is deterministic. On the
     generated environments the free cells form a tree, making this the unique
-    simple path. Raises ValueError when the goal is unreachable.
+    simple path. Each spec is solved once; every call returns a fresh list.
+    Raises ValueError when the goal is unreachable.
     """
-    spec_start = spec.start
-    if spec_start == spec.goal:
-        return []
-    parents: dict[Position, tuple[Position, Action]] = {spec_start: None}  # type: ignore[dict-item]
-    frontier = [spec_start]
-    while frontier and spec.goal not in parents:
-        nxt: list[Position] = []
-        for pos in frontier:
-            for action in ACTIONS:
-                dest = action.apply(pos)
-                if spec.is_free(dest) and dest not in parents:
-                    parents[dest] = (pos, action)
-                    nxt.append(dest)
-        frontier = nxt
-    if spec.goal not in parents:
+    path = spec._solution
+    if path is None:
         raise ValueError("goal is unreachable from start")
-    path: Trajectory = []
-    cur = spec.goal
-    while cur != spec_start:
-        prev, action = parents[cur]
-        path.append((action, cur))
-        cur = prev
-    path.reverse()
-    return path
+    return list(path)
 
 
 def path_states(spec: GridSpec, path: Trajectory) -> list[Position]:
@@ -286,36 +305,31 @@ def path_states(spec: GridSpec, path: Trajectory) -> list[Position]:
     return [spec.start] + [state for _, state in path]
 
 
-def count_simple_paths(spec: GridSpec, limit: int | None = 2) -> int:
-    """Number of simple start-to-goal paths over free cells.
+def count_simple_paths(spec: GridSpec) -> int:
+    """Simple start-to-goal paths over free cells: 0, 1, or 2 for two or more.
 
-    Walks every simple path with an explicit stack; stops early once ``limit``
-    paths are found (pass None to count exhaustively).
+    Linear in the number of free cells: flood-fill the free cells without
+    crossing an edge of the BFS solution. Two solution cells in one region
+    are joined by a detour, which splices into a second simple path, and a
+    second simple path must leave the solution and rejoin it by such a
+    detour. So the solution is unique iff no region holds two of its cells.
     """
-    if spec.start == spec.goal:
-        return 1
-    count = 0
-    on_path = {spec.start}
-    # stack of (position, iterator over remaining neighbors)
-    stack = [(spec.start, iter(_free_neighbors(spec, spec.start)))]
-    while stack:
-        pos, it = stack[-1]
-        dest = next(it, None)
-        if dest is None:
-            stack.pop()
-            on_path.discard(pos)
-            continue
-        if dest in on_path:
-            continue
-        if dest == spec.goal:
-            count += 1
-            if limit is not None and count >= limit:
-                return count
-            continue
-        on_path.add(dest)
-        stack.append((dest, iter(_free_neighbors(spec, dest))))
-    return count
-
-
-def _free_neighbors(spec: GridSpec, pos: Position) -> list[Position]:
-    return [a.apply(pos) for a in ACTIONS if spec.is_free(a.apply(pos))]
+    path = spec._solution
+    if path is None:
+        return 0
+    states = path_states(spec, path)
+    index = {cell: i for i, cell in enumerate(states)}
+    seen: set[Position] = set()
+    for i, root in enumerate(states):
+        stack = [root]
+        while stack:
+            pos = stack.pop()
+            for _, dest in _free_moves(spec, pos):
+                j = index.get(dest)
+                if j is None:
+                    if dest not in seen:
+                        seen.add(dest)
+                        stack.append(dest)
+                elif j != i and not (pos == root and abs(j - i) == 1):
+                    return 2
+    return 1

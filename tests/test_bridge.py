@@ -99,22 +99,20 @@ def test_stdio_spawn_failure_aborts(ref_env):
         run_reachable(ref_env, agent)
 
 
-def test_stdio_timeout_retries_once(ref_env, tmp_path):
-    script = tmp_path / "slow.py"
-    script.write_text(
-        "import json, sys\n"
-        "first = json.loads(sys.stdin.readline())\n"
-        "second = json.loads(sys.stdin.readline())\n"
-        "assert first == second\n"
-        "sys.stdout.write(json.dumps({'text': 'up'}) + '\\n')\n"
-        "sys.stdout.flush()\n"
-        "sys.stdin.read()\n"
-    )
-    agent = StdioBridgeAgent(f"python3 {script}", "s-4", timeout=1.0)
-    try:
-        assert agent.respond(render_instruction(ref_env)) == "up"
-    finally:
-        agent.close("success")
+def test_stdio_slow_first_reply_keeps_turns_paired(ref_env, tmp_path):
+    # the first reply comes after one timeout; resending would pair every
+    # later turn with the reply to the turn before and walk into the pit
+    script = tmp_path / "slow_first.py"
+    script.write_text("import time\ntime.sleep(1.5)\n" + STUB)
+    log = tmp_path / "requests.jsonl"
+    agent = StdioBridgeAgent(f"python3 {script} {log}", "s-4", timeout=1.0)
+
+    result = run_reachable(ref_env, agent)
+    assert result.outcome is Outcome.SUCCESS
+    assert result.steps == len(REF_PLAN)
+    requests = [json.loads(line) for line in log.read_text().splitlines()]
+    turns = [r for r in requests if "messages" in r]
+    assert [len(t["messages"]) for t in turns] == [3, 5, 7, 9, 11]
 
 
 def test_stdio_double_timeout_aborts(ref_env):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
@@ -185,6 +186,16 @@ def test_eval_rejects_bad_agents(tmp_path, capsys):
     with pytest.raises(SystemExit):
         run_cli(["eval", "--test-file", str(shard), "--agent", "plans:/missing.jsonl",
                  "--mode", "optimal"], capsys)
+
+
+def test_eval_names_the_line_of_an_unreachable_spec(tmp_path, capsys):
+    spec = {"min_x": 0, "min_y": 0, "size_x": 3, "size_y": 2, "start": [0, 0],
+            "goal": [2, 0], "walls": [[1, 0], [1, 1]], "pits": [], "seed": None}
+    specs = tmp_path / "specs.jsonl"
+    specs.write_text(json.dumps(spec) + "\n")
+    with pytest.raises(SystemExit, match=f"^{re.escape(str(specs))}:1: .*unreachable"):
+        run_cli(["eval", "--test-file", str(specs), "--agent", "oracle",
+                 "--mode", "reachable"], capsys)
 
 
 def test_cli_rejects_unknown_variant(tmp_path, capsys):

@@ -1,6 +1,10 @@
 from __future__ import annotations
 
 import json
+import re
+import threading
+import time
+from dataclasses import replace
 
 import pytest
 
@@ -21,6 +25,7 @@ from gridmind.dataset import (
     verify_dataset,
 )
 from gridmind.generate import TRAIN_PARAMS
+from gridmind.grid import GridSpec
 from gridmind.stats import StatsReport
 
 FWD_FULL_BT = CotVariant.from_name("fwd-full-bt")
@@ -163,6 +168,27 @@ def test_verify_flags_multiple_simple_paths(tmp_path):
     assert any("2 or more" in str(v) for v in report.violations)
 
 
+def test_verify_rejects_a_sealed_goal_quickly(tmp_path):
+    # an open 6x6 room with the goal walled off in the corner beyond it: a
+    # walk over simple paths would enumerate every one leaving the start
+    def seal_goal(o):
+        walls = [[6, y] for y in range(6)] + [[x, 6] for x in range(6)]
+        o["spec"].update(
+            min_x=0, min_y=0, size_x=7, size_y=7,
+            start=[0, 0], goal=[6, 6], walls=walls, pits=[],
+        )
+
+    path = _one_record_file(tmp_path, seal_goal)
+    done: list = []
+    t0 = time.perf_counter()
+    worker = threading.Thread(target=lambda: done.append(verify_dataset(path)), daemon=True)
+    worker.start()
+    worker.join(timeout=10)
+    assert done, "verify did not finish"
+    assert time.perf_counter() - t0 < 1.0
+    assert [v.message for v in done[0].violations] == ["expected exactly 1 simple path, found 0"]
+
+
 def test_verify_flags_bad_json_and_duplicates(tmp_path):
     params = split_params("train", seed=2)
     line = build_record(params, "train", FWD_FULL_BT, 0).to_json_line()
@@ -195,6 +221,21 @@ def test_load_records_and_specs(tmp_path):
         junk.write_text('{"min_x": 0}\n')
         load_specs(junk)
     assert paths[0].parent == tmp_path
+
+
+def test_load_specs_names_the_line_of_a_bad_spec(tmp_path):
+    records = load_records(generate_dataset(tmp_path, "train", BWD_NONE, 3, seed=4)[0])
+    sealed = GridSpec(min_x=0, min_y=0, size_x=3, size_y=2, start=(0, 0), goal=(2, 0),
+                      walls=frozenset({(1, 0), (1, 1)}))
+    batch = tmp_path / "bare" / "specs.jsonl"
+    batch.parent.mkdir()
+    for bad, needle in ((sealed, "unreachable"),
+                        (replace(sealed, walls=frozenset({(0, 0)})), "obstacle")):
+        lines = [r.spec.to_json() for r in records]
+        lines[1] = bad.to_json()
+        batch.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(batch))}:2: .*{needle}"):
+            load_specs(batch)
 
 
 def test_stats_sidecar_matches_the_shards(tmp_path):

@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gridmind import (
     ACTIONS,
@@ -116,11 +117,27 @@ def test_count_simple_paths():
 
 
 def test_count_simple_paths_limit():
+    # twelve simple paths, reported as 2: "two or more"
     open_grid = GridSpec(min_x=0, min_y=0, size_x=3, size_y=3, start=(0, 0), goal=(2, 2))
-    assert count_simple_paths(open_grid, limit=2) == 2
-    assert count_simple_paths(open_grid, limit=None) == len(
-        enumerate_simple_paths(open_grid)
-    )
+    assert len(enumerate_simple_paths(open_grid)) == 12
+    assert count_simple_paths(open_grid) == 2
+
+
+@st.composite
+def small_boards(draw):
+    """Boards up to 4x4 with random walls, so cycles and sealed goals occur."""
+    w, h = draw(st.integers(2, 4)), draw(st.integers(2, 4))
+    cells = [(x, y) for x in range(w) for y in range(h)]
+    start, goal = draw(st.lists(st.sampled_from(cells), min_size=2, max_size=2, unique=True))
+    walls = draw(st.sets(st.sampled_from([c for c in cells if c not in (start, goal)])))
+    return GridSpec(min_x=0, min_y=0, size_x=w, size_y=h, start=start, goal=goal,
+                    walls=frozenset(walls))
+
+
+@settings(max_examples=400, deadline=None)
+@given(small_boards())
+def test_count_simple_paths_matches_the_oracle(spec):
+    assert count_simple_paths(spec) == min(len(enumerate_simple_paths(spec, cap=2)), 2)
 
 
 def test_spec_json_round_trip(ref_env):
