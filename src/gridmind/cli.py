@@ -173,14 +173,9 @@ def _agent_factory(agent: str, mode: str, timeout: float):
 
 def cmd_eval(args) -> int:
     seed = args.seed if args.seed is not None else default_seed()
-    try:
-        specs = load_specs(args.test_file)
-        factory = _agent_factory(args.agent, args.mode, args.timeout)
-    except (ValueError, FileNotFoundError) as exc:
-        raise SystemExit(str(exc))
     report = evaluate_batch(
-        specs,
-        factory,
+        load_specs(args.test_file),
+        _agent_factory(args.agent, args.mode, args.timeout),
         mode=args.mode,
         max_steps=args.max_steps,
         workers=args.workers,
@@ -206,7 +201,10 @@ def main(argv=None) -> int:
         "stats": cmd_stats,
         "eval": cmd_eval,
     }
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except (ValueError, FileNotFoundError) as exc:
+        raise SystemExit(str(exc))
 
 
 if __name__ == "__main__":

@@ -173,7 +173,7 @@ def dataset_files(target: str | Path) -> list[Path]:
             raise FileNotFoundError(f"no .jsonl files under {p}")
         return files
     if not p.exists():
-        raise FileNotFoundError(str(p))
+        raise FileNotFoundError(f"{p} does not exist")
     return [p]
 
 
@@ -189,14 +189,33 @@ def iter_json_lines(path: Path):
                 yield line_no, None, str(exc)
 
 
-def load_records(target: str | Path) -> list[DatasetRecord]:
-    records = []
+def read_jsonl(target: str | Path, parse):
+    """Yield ``parse(obj)`` for each JSON line of a target's files.
+
+    Bad JSON, or a KeyError, TypeError or ValueError from ``parse``, raises a
+    ValueError that starts with ``<file>:<line>:``.
+    """
     for path in dataset_files(target):
         for line_no, obj, err in iter_json_lines(path):
             if err is not None:
                 raise ValueError(f"{path}:{line_no}: {err}")
-            records.append(DatasetRecord.from_json_dict(obj))
-    return records
+            try:
+                item = parse(obj)
+            except (KeyError, TypeError, ValueError) as exc:
+                reason = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+                raise ValueError(f"{path}:{line_no}: {reason}") from exc
+            yield item
+
+
+def load_records(target: str | Path) -> list[DatasetRecord]:
+    return list(read_jsonl(target, DatasetRecord.from_json_dict))
+
+
+def _environment(obj: dict) -> GridSpec:
+    spec = GridSpec.from_json_dict(obj["spec"] if "spec" in obj else obj)
+    spec.validate()
+    optimal_path(spec)  # raises when the goal is unreachable
+    return spec
 
 
 def load_specs(target: str | Path) -> list[GridSpec]:
@@ -205,21 +224,7 @@ def load_specs(target: str | Path) -> list[GridSpec]:
     Each one must pass ``GridSpec.validate`` and have a reachable goal;
     otherwise a ValueError names the file and line.
     """
-    specs = []
-    for path in dataset_files(target):
-        for line_no, obj, err in iter_json_lines(path):
-            if err is not None:
-                raise ValueError(f"{path}:{line_no}: {err}")
-            if "spec" in obj:
-                obj = obj["spec"]
-            try:
-                spec = GridSpec.from_json_dict(obj)
-                spec.validate()
-                optimal_path(spec)  # raises when the goal is unreachable
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ValueError(f"{path}:{line_no}: not an environment: {exc}") from exc
-            specs.append(spec)
-    return specs
+    return list(read_jsonl(target, _environment))
 
 
 @dataclass
@@ -314,9 +319,6 @@ def verify_dataset(target: str | Path) -> VerifyReport:
 def stats_from_files(target: str | Path) -> StatsReport:
     """Aggregate stats straight from dataset files."""
     report = StatsReport()
-    for path in dataset_files(target):
-        for line_no, obj, err in iter_json_lines(path):
-            if err is not None:
-                raise ValueError(f"{path}:{line_no}: {err}")
-            report.add(*record_metrics(obj))
+    for metrics in read_jsonl(target, record_metrics):
+        report.add(*metrics)
     return report

@@ -35,7 +35,6 @@ class GenParams:
 
     size_min: int = 2
     size_max: int = 10
-    global_max_coord: int = GLOBAL_MAX_COORD
     wall_density: float = 0.3
     pit_density: float = 0.4
     seed: int = 0
@@ -43,8 +42,8 @@ class GenParams:
     def validate(self) -> None:
         if not 2 <= self.size_min <= self.size_max:
             raise ValueError(f"need 2 <= size_min <= size_max, got {self.size_min}..{self.size_max}")
-        if self.size_max > self.global_max_coord + 1:
-            raise ValueError(f"size_max {self.size_max} cannot fit in [0,{self.global_max_coord}]")
+        if self.size_max > GLOBAL_MAX_COORD + 1:
+            raise ValueError(f"size_max {self.size_max} cannot fit in [0,{GLOBAL_MAX_COORD}]")
         if not 0.0 <= self.wall_density < 1.0:
             raise ValueError(f"wall_density must be in [0,1), got {self.wall_density}")
         if not 0.0 <= self.pit_density <= 1.0:
@@ -122,7 +121,7 @@ def _grow_induced_tree(w: int, h: int, target: int, rng: np.random.Generator) ->
 def _attempt(params: GenParams, rng: np.random.Generator, seed: int | None) -> GridSpec:
     w = int(rng.integers(params.size_min, params.size_max + 1))
     h = int(rng.integers(params.size_min, params.size_max + 1))
-    span = params.global_max_coord + 1
+    span = GLOBAL_MAX_COORD + 1
     ox = int(rng.integers(span - w + 1))
     oy = int(rng.integers(span - h + 1))
 
@@ -174,7 +173,7 @@ def generate_environment(
     for _ in range(RETRY_BUDGET):
         spec = _attempt(params, rng, seed)
         if complexity(spec) >= _LN2 - 1e-12:
-            spec.validate(params.global_max_coord)
+            spec.validate()
             return spec
     raise GenerationError(
         f"no acceptable environment within {RETRY_BUDGET} attempts for {params}"

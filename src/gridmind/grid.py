@@ -142,14 +142,14 @@ class GridSpec:
             if (x, y) not in self.walls and (x, y) not in self.pits
         ]
 
-    def validate(self, max_coord: int = GLOBAL_MAX_COORD) -> None:
+    def validate(self) -> None:
         """Raise ValueError on any structural violation."""
         if self.size_x < 2 or self.size_y < 2:
             raise ValueError(f"sizes must be at least 2, got {self.size_x}x{self.size_y}")
-        if self.min_x < 0 or self.min_y < 0 or self.max_x > max_coord or self.max_y > max_coord:
+        if min(self.min_x, self.min_y) < 0 or max(self.max_x, self.max_y) > GLOBAL_MAX_COORD:
             raise ValueError(
                 f"grid [{self.min_x},{self.max_x}]x[{self.min_y},{self.max_y}] "
-                f"exceeds [0,{max_coord}]^2"
+                f"exceeds [0,{GLOBAL_MAX_COORD}]^2"
             )
         if self.start == self.goal:
             raise ValueError("start and goal must be distinct")

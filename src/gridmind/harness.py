@@ -8,21 +8,24 @@ pit is Deadend, exhausting the budget is MaxStep, and any reply that is not
 a move word ends the episode as Invalid. Blocked moves (wall or boundary)
 keep the agent in place, cost a step, and repeat the same observation.
 
-Transport failures abort the episode; aborted episodes are reported apart
-from the outcome counts so flaky plumbing cannot masquerade as behavior.
+Both protocols run through ``run_episode``: it alone asks the agent (a
+transport failure becomes ``EpisodeAborted``) and it alone closes the agent,
+exactly once per episode, with the outcome or "aborted". Aborted episodes
+are reported apart from the outcome counts so flaky plumbing cannot
+masquerade as behavior.
 """
 
 from __future__ import annotations
 
-import json
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 from pathlib import Path
 
 import numpy as np
 
 from .cogmap import PlanParseError, parse_plan, serialize_plan
+from .dataset import read_jsonl
 from .generate import derive_seed
 from .grid import Action, GridSpec, MoveKind, optimal_path, transition
 from .prompts import (
@@ -181,6 +184,72 @@ def evaluate_optimal(spec: GridSpec, reply: str) -> EpisodeResult:
     return EpisodeResult(outcome, len(actions), len(plan), transcript)
 
 
+def _ask(agent: Agent, transcript: list[PromptText]) -> str:
+    """The agent's reply; a transport failure aborts the episode."""
+    try:
+        return agent.respond(transcript)
+    except AgentTransportError as exc:
+        raise EpisodeAborted(str(exc)) from exc
+
+
+def _play_reachable(spec: GridSpec, agent: Agent, max_steps: int) -> EpisodeResult:
+    transcript = render_instruction(spec)
+    optimal_len = len(optimal_path(spec))
+    pos = spec.start
+    steps = 0
+    reply = _ask(agent, list(transcript))
+    # the first reply may carry thought text: its last non-empty line is the move
+    lines = [line for line in reply.split("\n") if line.strip()]
+    move = lines[-1] if lines else ""
+    while True:
+        transcript.append(PromptText(GPT, reply))
+        action = parse_action(move)
+        if action is None:
+            outcome = Outcome.INVALID
+            break
+        result = transition(spec, pos, action)
+        steps += 1
+        if result.kind is MoveKind.PIT:
+            outcome = Outcome.DEADEND
+            break
+        if result.kind is MoveKind.REACHED_GOAL:
+            outcome = Outcome.SUCCESS
+            break
+        if result.kind is MoveKind.MOVED:
+            pos = result.dest
+        if steps >= max_steps:
+            outcome = Outcome.MAX_STEP
+            break
+        transcript.append(PromptText(HUMAN, render_observation(spec, pos)))
+        reply = move = _ask(agent, list(transcript))
+    return EpisodeResult(outcome, steps, optimal_len, transcript)
+
+
+def run_episode(
+    spec: GridSpec, agent: Agent, mode: str, max_steps: int = DEFAULT_MAX_STEPS
+) -> EpisodeResult:
+    """Play one episode under ``mode`` and close the agent exactly once.
+
+    The agent is closed with the outcome, or with "aborted" when the episode
+    raised; an unknown mode raises before the agent is asked or closed.
+    """
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
+    outcome = "aborted"
+    try:
+        if mode == OPTIMAL:
+            result = evaluate_optimal(spec, _ask(agent, render_instruction(spec)))
+        else:
+            result = _play_reachable(spec, agent, max_steps)
+        outcome = result.outcome.value
+        return result
+    finally:
+        try:
+            agent.close(outcome)
+        except Exception:
+            pass
+
+
 def run_reachable(
     spec: GridSpec, agent: Agent, max_steps: int = DEFAULT_MAX_STEPS
 ) -> EpisodeResult:
@@ -189,71 +258,7 @@ def run_reachable(
     The first reply may carry thought text; only its final non-empty line is
     read as the move. Later replies must be a bare move word.
     """
-    transcript = render_instruction(spec)
-    optimal_len = len(optimal_path(spec))
-    pos = spec.start
-    steps = 0
-    outcome: Outcome | None = None
-    try:
-        first = True
-        while True:
-            try:
-                reply = agent.respond(list(transcript))
-            except AgentTransportError as exc:
-                raise EpisodeAborted(str(exc)) from exc
-            transcript.append(PromptText(GPT, reply))
-            action_text = reply
-            if first:
-                tail = [line for line in reply.split("\n") if line.strip()]
-                action_text = tail[-1] if tail else ""
-                first = False
-            action = parse_action(action_text)
-            if action is None:
-                outcome = Outcome.INVALID
-                break
-            result = transition(spec, pos, action)
-            steps += 1
-            if result.kind is MoveKind.PIT:
-                outcome = Outcome.DEADEND
-                break
-            if result.kind is MoveKind.REACHED_GOAL:
-                outcome = Outcome.SUCCESS
-                break
-            if result.kind is MoveKind.MOVED:
-                pos = result.dest
-            if steps >= max_steps:
-                outcome = Outcome.MAX_STEP
-                break
-            transcript.append(PromptText(HUMAN, render_observation(spec, pos)))
-    finally:
-        try:
-            agent.close(outcome.value if outcome else "aborted")
-        except Exception:
-            pass
-    return EpisodeResult(outcome, steps, optimal_len, transcript)
-
-
-def run_episode(
-    spec: GridSpec, agent: Agent, mode: str, max_steps: int = DEFAULT_MAX_STEPS
-) -> EpisodeResult:
-    if mode == OPTIMAL:
-        outcome = None
-        try:
-            try:
-                reply = agent.respond(render_instruction(spec))
-            except AgentTransportError as exc:
-                raise EpisodeAborted(str(exc)) from exc
-            result = evaluate_optimal(spec, reply)
-            outcome = result.outcome
-            return result
-        finally:
-            try:
-                agent.close(outcome.value if outcome else "aborted")
-            except Exception:
-                pass
-    if mode == REACHABLE:
-        return run_reachable(spec, agent, max_steps)
-    raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
+    return run_episode(spec, agent, REACHABLE, max_steps)
 
 
 SCRIPTED_AGENTS = ("oracle", "random", "dfs")
@@ -287,28 +292,32 @@ def plans_agent_factory(replies: list[str], mode: str):
 
 
 def load_plans(path: str | Path) -> list[str]:
-    """Read a JSONL plans file: {"text": ...} with an optional "index"."""
-    indexed: dict[int, str] = {}
-    ordered: list[str] = []
-    with open(path) as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-                text = obj["text"]
-            except (json.JSONDecodeError, TypeError, KeyError) as exc:
-                raise ValueError(f"{path}:{line_no}: bad plans line: {exc}") from exc
-            if "index" in obj:
-                indexed[int(obj["index"])] = text
-            else:
-                ordered.append(text)
-    if indexed and ordered:
+    """Read a JSONL plans file of {"text": ...} lines.
+
+    Either no line has an "index", and replies go to episodes in file order,
+    or every line has one, and the indices are 0..n-1, each exactly once.
+    """
+    seen: set[int] = set()
+
+    def parse(obj: dict) -> tuple[int | None, str]:
+        text = obj["text"]
+        if "index" not in obj:
+            return None, text
+        index = int(obj["index"])
+        if index in seen:
+            raise ValueError(f"duplicate index {index}")
+        seen.add(index)
+        return index, text
+
+    plans = list(read_jsonl(path, parse))
+    if not seen:
+        return [text for _, text in plans]
+    if len(seen) < len(plans):
         raise ValueError(f"{path}: mix of indexed and unindexed plans")
-    if indexed:
-        return [indexed[i] for i in sorted(indexed)]
-    return ordered
+    missing = sorted(set(range(len(plans))) - seen)
+    if missing:
+        raise ValueError(f"{path}: index {missing[0]} is missing; need 0..{len(plans) - 1}")
+    return [text for _, text in sorted(plans)]
 
 
 @dataclass
@@ -360,17 +369,7 @@ class BatchReport:
             "aborted": self.aborted,
             "counts": self.counts,
             "rates": self.rates,
-            "episodes": [
-                {
-                    "index": e.index,
-                    "outcome": e.outcome,
-                    "steps": e.steps,
-                    "optimal_len": e.optimal_len,
-                    "size_x": e.size_x,
-                    "size_y": e.size_y,
-                }
-                for e in self.episodes
-            ],
+            "episodes": [asdict(e) for e in self.episodes],
         }
 
 
@@ -395,18 +394,10 @@ def evaluate_batch(
         agent = agent_factory(spec, index, derive_seed(seed, index))
         try:
             result = run_episode(spec, agent, mode, max_steps)
+            outcome, steps, optimal_len = result.outcome.value, result.steps, result.optimal_len
         except EpisodeAborted:
-            return EpisodeSummary(
-                index, None, 0, len(optimal_path(spec)), spec.size_x, spec.size_y
-            )
-        return EpisodeSummary(
-            index,
-            result.outcome.value,
-            result.steps,
-            result.optimal_len,
-            spec.size_x,
-            spec.size_y,
-        )
+            outcome, steps, optimal_len = None, 0, len(optimal_path(spec))
+        return EpisodeSummary(index, outcome, steps, optimal_len, spec.size_x, spec.size_y)
 
     report = BatchReport(mode=mode, max_steps=max_steps, seed=seed)
     if workers <= 1:

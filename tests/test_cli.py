@@ -198,6 +198,35 @@ def test_eval_names_the_line_of_an_unreachable_spec(tmp_path, capsys):
                  "--mode", "reachable"], capsys)
 
 
+def test_eval_rejects_too_few_recorded_replies(tmp_path, capsys):
+    run_cli(gen_args(tmp_path / "data", count=3, variant="bwd-none"), capsys)
+    shard = tmp_path / "data" / "train-bwd-none-0000-of-0001.jsonl"
+    plans = tmp_path / "plans.jsonl"
+    plans.write_text('{"text": "up"}\n')
+    with pytest.raises(SystemExit, match="no recorded reply for episode 1"):
+        run_cli(["eval", "--test-file", str(shard), "--agent", f"plans:{plans}",
+                 "--mode", "optimal"], capsys)
+
+
+def test_stats_names_the_line_of_a_bad_record(tmp_path, capsys):
+    run_cli(gen_args(tmp_path / "data", count=2), capsys)
+    shard = tmp_path / "data" / "train-fwd-full-bt-0000-of-0001.jsonl"
+    lines = shard.read_text().splitlines()
+    obj = json.loads(lines[0])
+    del obj["spec"]
+    lines[0] = json.dumps(obj)
+    shard.write_text("\n".join(lines) + "\n")
+    with pytest.raises(SystemExit, match=f"^{re.escape(str(shard))}:1: .*'spec'"):
+        run_cli(["stats", str(shard)], capsys)
+
+
+@pytest.mark.parametrize("command", ["verify", "stats"])
+def test_missing_path_is_reported(tmp_path, capsys, command):
+    missing = tmp_path / "nowhere.jsonl"
+    with pytest.raises(SystemExit, match=f"^{re.escape(str(missing))} does not exist$"):
+        run_cli([command, str(missing)], capsys)
+
+
 def test_cli_rejects_unknown_variant(tmp_path, capsys):
     with pytest.raises(SystemExit):
         run_cli(gen_args(tmp_path, variant="sideways"), capsys)

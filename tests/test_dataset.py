@@ -238,6 +238,18 @@ def test_load_specs_names_the_line_of_a_bad_spec(tmp_path):
             load_specs(batch)
 
 
+def test_loaders_name_the_line_of_a_malformed_record(tmp_path):
+    shard = generate_dataset(tmp_path, "train", BWD_NONE, 2, seed=4)[0]
+    lines = shard.read_text().splitlines()
+    obj = json.loads(lines[1])
+    del obj["spec"]
+    lines[1] = json.dumps(obj)
+    shard.write_text("\n".join(lines) + "\n")
+    for load in (load_records, load_specs, stats_from_files):
+        with pytest.raises(ValueError, match=f"^{re.escape(str(shard))}:2: "):
+            load(shard)
+
+
 def test_stats_sidecar_matches_the_shards(tmp_path):
     paths = generate_dataset(tmp_path, "train", FWD_FULL_BT, 8, seed=6, shards=2)
     sidecar = json.loads(paths[-1].read_text())
@@ -248,7 +260,7 @@ def test_stats_sidecar_matches_the_shards(tmp_path):
 
 
 def test_dataset_files_errors(tmp_path):
-    with pytest.raises(FileNotFoundError):
+    with pytest.raises(FileNotFoundError, match="missing.jsonl does not exist"):
         dataset_files(tmp_path / "missing.jsonl")
     empty = tmp_path / "empty"
     empty.mkdir()

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -38,6 +40,25 @@ class ScriptedMoves(Agent):
 
     def close(self, outcome):
         self.closed_with = outcome
+
+
+class Recorder(Agent):
+    """Counts respond() calls and records every close() outcome."""
+
+    def __init__(self, inner=None, error=None):
+        self._inner = inner
+        self._error = error
+        self.asked = 0
+        self.closes = []
+
+    def respond(self, transcript):
+        self.asked += 1
+        if self._error is not None:
+            raise self._error
+        return self._inner.respond(transcript)
+
+    def close(self, outcome):
+        self.closes.append(outcome)
 
 
 def test_oracle_reachable_success(ref_env):
@@ -129,12 +150,32 @@ def test_goal_on_the_last_allowed_step_still_wins(ref_env):
 
 
 def test_transport_failure_aborts_the_episode(ref_env):
-    class Flaky(Agent):
-        def respond(self, transcript):
-            raise AgentTransportError("socket fell over")
-
+    agent = Recorder(error=AgentTransportError("socket fell over"))
     with pytest.raises(EpisodeAborted):
-        run_reachable(ref_env, Flaky())
+        run_reachable(ref_env, agent)
+    assert agent.closes == ["aborted"]
+    agent = Recorder(error=AgentTransportError("socket fell over"))
+    with pytest.raises(EpisodeAborted):
+        run_episode(ref_env, agent, OPTIMAL)
+    assert agent.closes == ["aborted"]
+
+
+@pytest.mark.parametrize("mode", [OPTIMAL, REACHABLE])
+def test_runner_closes_once_with_the_outcome(ref_env, mode):
+    agent = Recorder(OracleAgent(ref_env, mode))
+    assert run_episode(ref_env, agent, mode).outcome is Outcome.SUCCESS
+    assert agent.closes == ["success"]
+    agent = Recorder(ConstantAgent("jump"))
+    outcome = run_episode(ref_env, agent, mode).outcome
+    assert agent.closes == [outcome.value]
+
+
+@pytest.mark.parametrize("mode", [OPTIMAL, REACHABLE])
+def test_runner_closes_aborted_and_reraises_other_errors(ref_env, mode):
+    agent = Recorder(error=RuntimeError("agent bug"))
+    with pytest.raises(RuntimeError, match="agent bug"):
+        run_episode(ref_env, agent, mode)
+    assert agent.closes == ["aborted"]
 
 
 def test_dfs_transcript_golden(ref_env):
@@ -209,6 +250,21 @@ def test_load_plans(tmp_path):
         load_plans(broken)
 
 
+def test_load_plans_rejects_gaps_and_duplicate_indices(tmp_path):
+    # a gap would pair episode 1 with the reply meant for episode 2
+    gap = tmp_path / "gap.jsonl"
+    gap.write_text('{"index": 0, "text": "a"}\n{"index": 2, "text": "c"}\n')
+    with pytest.raises(ValueError, match=f"^{re.escape(str(gap))}: index 1 is missing"):
+        load_plans(gap)
+
+    duplicate = tmp_path / "duplicate.jsonl"
+    duplicate.write_text(
+        '{"index": 0, "text": "a"}\n{"index": 1, "text": "b"}\n{"index": 0, "text": "c"}\n'
+    )
+    with pytest.raises(ValueError, match=f"^{re.escape(str(duplicate))}:3: duplicate index 0"):
+        load_plans(duplicate)
+
+
 def test_batch_oracle_matches_optimal_lengths():
     specs = [generate_indexed(TEST_PARAMS, i) for i in range(40)]
     report = evaluate_batch(specs, scripted_agent_factory("oracle", REACHABLE), REACHABLE)
@@ -278,8 +334,11 @@ def test_plans_factory_index_bounds(ref_env):
 
 
 def test_run_episode_rejects_unknown_mode(ref_env):
+    agent = Recorder(ConstantAgent("up"))
     with pytest.raises(ValueError):
-        run_episode(ref_env, ConstantAgent("up"), "teleport")
+        run_episode(ref_env, agent, "teleport")
+    # raised before the agent was asked or closed
+    assert agent.asked == 0 and agent.closes == []
     with pytest.raises(ValueError):
         evaluate_batch([ref_env], scripted_agent_factory("oracle", REACHABLE), "teleport")
 
