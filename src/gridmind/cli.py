@@ -163,19 +163,23 @@ def cmd_stats(args) -> int:
     return 0
 
 
-def _agent_factory(agent: str, mode: str, timeout: float):
+def _agent_factory(agent: str, mode: str, timeout: float, episodes: int):
     if agent.startswith("bridge:"):
         return bridge_agent_factory(agent[len("bridge:"):], timeout)
     if agent.startswith("plans:"):
-        return plans_agent_factory(load_plans(agent[len("plans:"):]), mode)
+        replies = load_plans(agent[len("plans:"):])
+        if len(replies) < episodes:  # fail before any episode runs
+            raise ValueError(f"no recorded reply for episode {len(replies)}")
+        return plans_agent_factory(replies, mode)
     return scripted_agent_factory(agent, mode)
 
 
 def cmd_eval(args) -> int:
     seed = args.seed if args.seed is not None else default_seed()
+    specs = load_specs(args.test_file)
     report = evaluate_batch(
-        load_specs(args.test_file),
-        _agent_factory(args.agent, args.mode, args.timeout),
+        specs,
+        _agent_factory(args.agent, args.mode, args.timeout, len(specs)),
         mode=args.mode,
         max_steps=args.max_steps,
         workers=args.workers,

@@ -20,8 +20,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
-from .grid import ACTIONS, Action, GridSpec, Position, optimal_path, path_states
+from .grid import ACTIONS, GLOBAL_MAX_COORD, Action, GridSpec, Position, optimal_path, path_states
 from .prompts import POSITION_RE, format_position, parse_position
 
 CUT_TOKEN = "cut"
@@ -47,8 +48,7 @@ class CutReason(Enum):
     VISITED = "visited"
 
 
-@dataclass(frozen=True)
-class NeighborRecord:
+class NeighborRecord(NamedTuple):
     """One probed neighbor: where, the move word it is labeled with, verdict.
 
     Labels name the move from the expanded cell for forward traces and the
@@ -62,8 +62,7 @@ class NeighborRecord:
     cut_reason: CutReason | None = None
 
 
-@dataclass(frozen=True)
-class Expansion:
+class Expansion(NamedTuple):
     origin: Position
     records: tuple[NeighborRecord, ...]
 
@@ -90,6 +89,21 @@ _PROBES = {
 }
 
 
+class _PositionText(dict):
+    """'(x, y)' per cell; cells outside the table are formatted on demand."""
+
+    def __missing__(self, pos: Position) -> str:
+        return format_position(pos)
+
+
+# every cell a probe of a valid board can name: one step around [0, 19]^2
+_POSITION_TEXT = _PositionText(
+    ((x, y), format_position((x, y)))
+    for x in range(-1, GLOBAL_MAX_COORD + 2)
+    for y in range(-1, GLOBAL_MAX_COORD + 2)
+)
+
+
 def build_search_trace(spec: GridSpec, direction: Direction) -> SearchTrace:
     """Run the layered sweep from start (FWD) or goal (BWD)."""
     fwd = optimal_path(spec)
@@ -100,6 +114,8 @@ def build_search_trace(spec: GridSpec, direction: Direction) -> SearchTrace:
     min_x, min_y, walls, pits = spec.min_x, spec.min_y, spec.walls, spec.pits
     max_x, max_y = spec.max_x, spec.max_y
     probes = _PROBES[direction]
+    # hoisted: each Enum member lookup on the class is a Python-level call
+    oob, wall, pit, seen = CutReason.OUT_OF_BOUNDS, CutReason.WALL, CutReason.PIT, CutReason.VISITED
 
     visited = {root}
     frontier = [root]
@@ -113,13 +129,13 @@ def build_search_trace(spec: GridSpec, direction: Direction) -> SearchTrace:
             for label, dx, dy in probes:
                 dest = (x + dx, y + dy)
                 if not (min_x <= dest[0] <= max_x and min_y <= dest[1] <= max_y):
-                    rec = NeighborRecord(dest, label, False, CutReason.OUT_OF_BOUNDS)
+                    rec = NeighborRecord(dest, label, False, oob)
                 elif dest in walls:
-                    rec = NeighborRecord(dest, label, False, CutReason.WALL)
+                    rec = NeighborRecord(dest, label, False, wall)
                 elif dest in pits:
-                    rec = NeighborRecord(dest, label, False, CutReason.PIT)
+                    rec = NeighborRecord(dest, label, False, pit)
                 elif dest in visited:
-                    rec = NeighborRecord(dest, label, False, CutReason.VISITED)
+                    rec = NeighborRecord(dest, label, False, seen)
                 else:
                     rec = NeighborRecord(dest, label, True)
                     visited.add(dest)
@@ -200,33 +216,34 @@ def serialize_thought(trace: SearchTrace, variant: CotVariant, strict: bool = Fa
     Backtrack state to its move word on one line; by default every entry is
     rendered uniformly as a state line followed by a move line.
     """
-    if variant.verbosity is Verbosity.NONE:
+    verbosity = variant.verbosity
+    if verbosity is Verbosity.NONE:
         return ""
+    text = _POSITION_TEXT
+    kept_only = verbosity is Verbosity.KEPT
+    marked = verbosity is Verbosity.FULL_MARKED
     lines = ["Thought:"]
     for step, layer in enumerate(trace.layers, start=1):
         lines.append(f"Step {step}:")
-        if variant.verbosity is Verbosity.STEPS:
+        if verbosity is Verbosity.STEPS:
             continue
-        for expansion in layer:
-            for rec in expansion.records:
-                if variant.verbosity is Verbosity.KEPT and not rec.kept:
-                    continue
-                lines.append(format_position(rec.neighbor))
-                if variant.verbosity is Verbosity.FULL_MARKED and not rec.kept:
-                    lines.append(CUT_TOKEN)
-                else:
-                    lines.append(rec.label.value)
+        for _, records in layer:
+            # ``_value_`` is the move word without the Enum property lookup
+            for neighbor, label, kept, _ in records:
+                if kept:
+                    lines += (text[neighbor], label._value_)
+                elif not kept_only:
+                    lines += (text[neighbor], CUT_TOKEN if marked else label._value_)
     if variant.backtrack:
         lines.append("Backtrack:")
         merge_first = strict and trace.direction is Direction.FWD
         for i, (pos, action) in enumerate(backtrack_entries(trace)):
             if action is None:
-                lines.append(format_position(pos))
+                lines.append(text[pos])
             elif merge_first and i == 0:
-                lines.append(format_position(pos) + action.value)
+                lines.append(text[pos] + action._value_)
             else:
-                lines.append(format_position(pos))
-                lines.append(action.value)
+                lines += (text[pos], action._value_)
     return "\n".join(lines)
 
 

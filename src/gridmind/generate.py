@@ -5,6 +5,12 @@ exactly one existing free cell. The free region is therefore an induced tree
 of the grid graph: between any two free cells there is exactly one simple
 path, so every generated environment has a unique solution by construction.
 
+Growth works on the local board with each cell encoded as the int
+``x * h + y``, which sorts in (x, y) order. It records the free neighbour each
+cell was attached to, so the start-to-goal path is read off the tree instead
+of being searched for; pits are drawn beside that path and the environment is
+built once, then solved once for the complexity floor.
+
 All randomness flows through a numpy Generator. Record streams are derived
 with SeedSequence spawn keys, so record i is a pure function of (seed, i)
 and shards can be produced concurrently.
@@ -13,11 +19,11 @@ and shards can be produced concurrently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GLOBAL_MAX_COORD, GridSpec, optimal_path, path_states
+from .grid import GLOBAL_MAX_COORD, GridSpec
 from .stats import complexity
 
 RETRY_BUDGET = 64
@@ -64,58 +70,84 @@ def record_rng(root_seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(derive_seed(root_seed, index))
 
 
-def _neighbors4(x: int, y: int, w: int, h: int) -> list[tuple[int, int]]:
+def _neighbours(cell: int, w: int, h: int) -> list[int]:
+    """In-board neighbours of int cell ``x * h + y``: up, down, left, right."""
+    x, y = divmod(cell, h)
     out = []
     if y + 1 < h:
-        out.append((x, y + 1))
-    if y - 1 >= 0:
-        out.append((x, y - 1))
-    if x - 1 >= 0:
-        out.append((x - 1, y))
+        out.append(cell + 1)
+    if y:
+        out.append(cell - 1)
+    if x:
+        out.append(cell - h)
     if x + 1 < w:
-        out.append((x + 1, y))
+        out.append(cell + h)
     return out
 
 
-def _grow_induced_tree(w: int, h: int, target: int, rng: np.random.Generator) -> set[tuple[int, int]]:
-    """Grow a free region of up to ``target`` cells whose graph is a tree."""
-    start = (int(rng.integers(w)), int(rng.integers(h)))
-    free = {start}
-    # candidates with exactly one free neighbor, as a list for O(1) uniform draws
-    free_touch: dict[tuple[int, int], int] = {}
-    eligible: list[tuple[int, int]] = []
-    slot: dict[tuple[int, int], int] = {}
+def _grow_induced_tree(w: int, h: int, target: int, rng: np.random.Generator) -> dict[int, int]:
+    """Grow a free region of up to ``target`` cells whose graph is a tree.
 
-    def drop(cell: tuple[int, int]) -> None:
-        i = slot.pop(cell, None)
-        if i is None:
-            return
+    Cells are ints ``x * h + y`` on the local ``w`` by ``h`` board, so the
+    neighbours up, down, left and right of ``c`` are ``c + 1``, ``c - 1``,
+    ``c - h`` and ``c + h``, probed in that order. Each step draws one cell
+    uniformly from those touching exactly one free cell; the draws and the
+    swap-remove order of that list fix the output for a given ``rng``.
+    Returns the tree: each free cell, in the order it joined, mapped to the
+    free cell it was attached to (the first cell maps to -1), from which
+    ``_tree_path`` reads the unique path between any two free cells.
+    """
+    n = w * h
+    x = int(rng.integers(w))
+    cell = x * h + int(rng.integers(h))
+    parent = {cell: -1}
+    # free neighbours per cell; a joined cell is set to 2, so later bumps
+    # (3, 4, 5) never make it eligible again
+    touch = [0] * n
+    touch[cell] = 2
+    via = [-1] * n  # the free neighbour of a cell that touches exactly one
+    # cells that touch exactly one free cell, as a list for O(1) uniform
+    # draws; slot[c] is the index of c in it
+    eligible: list[int] = []
+    slot = [-1] * n
+    while True:
+        for nb in _neighbours(cell, w, h):
+            t = touch[nb] + 1
+            touch[nb] = t
+            if t == 1:
+                slot[nb] = len(eligible)
+                eligible.append(nb)
+                via[nb] = cell
+            elif t == 2:
+                i = slot[nb]
+                last = eligible.pop()
+                if last != nb:
+                    eligible[i] = last
+                    slot[last] = i
+        if len(parent) >= target or not eligible:
+            return parent
+        i = int(rng.integers(len(eligible)))
+        cell = eligible[i]
         last = eligible.pop()
         if last != cell:
             eligible[i] = last
             slot[last] = i
+        touch[cell] = 2
+        parent[cell] = via[cell]
 
-    def bump(cell: tuple[int, int]) -> None:
-        n = free_touch.get(cell, 0) + 1
-        free_touch[cell] = n
-        if n == 1:
-            slot[cell] = len(eligible)
-            eligible.append(cell)
-        elif n == 2:
-            drop(cell)
 
-    for nb in _neighbors4(*start, w, h):
-        bump(nb)
-
-    while len(free) < target and eligible:
-        cell = eligible[int(rng.integers(len(eligible)))]
-        drop(cell)
-        free_touch.pop(cell, None)
-        free.add(cell)
-        for nb in _neighbors4(*cell, w, h):
-            if nb not in free:
-                bump(nb)
-    return free
+def _tree_path(parent: dict[int, int], a: int, b: int) -> list[int]:
+    """The cells on the unique ``a``-``b`` path of the tree, in no fixed order."""
+    above_a = []
+    while a != -1:
+        above_a.append(a)
+        a = parent[a]
+    on_a = set(above_a)
+    path = []
+    while b not in on_a:
+        path.append(b)
+        b = parent[b]
+    return path + above_a[: above_a.index(b) + 1]
 
 
 def _attempt(params: GenParams, rng: np.random.Generator, seed: int | None) -> GridSpec:
@@ -126,38 +158,41 @@ def _attempt(params: GenParams, rng: np.random.Generator, seed: int | None) -> G
     oy = int(rng.integers(span - h + 1))
 
     target = max(2, round((1.0 - params.wall_density) * w * h))
-    free = _grow_induced_tree(w, h, target, rng)
+    parent = _grow_induced_tree(w, h, target, rng)
 
-    free_list = sorted(free)
-    i = int(rng.integers(len(free_list)))
-    j = int(rng.integers(len(free_list) - 1))
+    free = sorted(parent)  # int order is (x, y) order
+    i = int(rng.integers(len(free)))
+    j = int(rng.integers(len(free) - 1))
     if j >= i:
         j += 1
-    start_l, goal_l = free_list[i], free_list[j]
+    start, goal = free[i], free[j]
 
-    walls = frozenset(
-        (x + ox, y + oy) for x in range(w) for y in range(h) if (x, y) not in free
-    )
-    spec = GridSpec(
+    # pits only replace walls beside the solution, which the free tree
+    # already fixes; one draw per such wall, in (x, y) order
+    beside = {nb for cell in _tree_path(parent, start, goal) for nb in _neighbours(cell, w, h)}
+    beside_walls = sorted(beside.difference(parent))
+    draws = rng.random(len(beside_walls)).tolist()
+    pit_cells = {c for c, r in zip(beside_walls, draws) if r < params.pit_density}
+
+    walls = []
+    pits = []
+    cell = 0
+    for x in range(ox, ox + w):
+        for y in range(oy, oy + h):
+            if cell not in parent:
+                (pits if cell in pit_cells else walls).append((x, y))
+            cell += 1
+    return GridSpec(
         min_x=ox,
         min_y=oy,
         size_x=w,
         size_y=h,
-        start=(start_l[0] + ox, start_l[1] + oy),
-        goal=(goal_l[0] + ox, goal_l[1] + oy),
-        walls=walls,
-        pits=frozenset(),
+        start=(start // h + ox, start % h + oy),
+        goal=(goal // h + ox, goal % h + oy),
+        walls=frozenset(walls),
+        pits=frozenset(pits),
         seed=seed,
     )
-
-    # pits only replace walls, so the free cells and the solution stay put
-    beside_path = {
-        (x + dx, y + dy)
-        for x, y in path_states(spec, optimal_path(spec))
-        for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1))
-    }
-    pits = {cell for cell in sorted(beside_path & walls) if rng.random() < params.pit_density}
-    return replace(spec, walls=walls - pits, pits=frozenset(pits))
 
 
 def generate_environment(

@@ -160,6 +160,15 @@ class GridSpec:
                 raise ValueError(f"{name} {cell} lies on an obstacle")
         if self.walls & self.pits:
             raise ValueError(f"walls and pits overlap: {sorted(self.walls & self.pits)}")
+        # one pass over the extremes; the per-cell loop names the offender
+        obstacles = [*self.walls, *self.pits]
+        if not obstacles:
+            return
+        xs = [c[0] for c in obstacles]
+        ys = [c[1] for c in obstacles]
+        if (self.min_x <= min(xs) and max(xs) <= self.max_x
+                and self.min_y <= min(ys) and max(ys) <= self.max_y):
+            return
         for kind, cells in (("wall", self.walls), ("pit", self.pits)):
             for cell in cells:
                 if not self.in_bounds(cell):
@@ -265,8 +274,9 @@ def transition(spec: GridSpec, pos: Position, action: Action) -> TransitionResul
     return TransitionResult(MoveKind.MOVED, dest)
 
 
-def _free_moves(spec: GridSpec, pos: Position) -> list[tuple[Action, Position]]:
-    """Moves from ``pos`` that enter a free cell, in canonical action order."""
+def valid_actions(spec: GridSpec, pos: Position) -> list[tuple[Action, Position]]:
+    """Moves that enter a free cell (goal included), in canonical action order."""
+    _require_standable(spec, pos)
     x, y = pos
     min_x, min_y, walls, pits = spec.min_x, spec.min_y, spec.walls, spec.pits
     max_x, max_y = min_x + spec.size_x - 1, min_y + spec.size_y - 1
@@ -278,12 +288,6 @@ def _free_moves(spec: GridSpec, pos: Position) -> list[tuple[Action, Position]]:
             if dest not in walls and dest not in pits:
                 out.append((action, dest))
     return out
-
-
-def valid_actions(spec: GridSpec, pos: Position) -> list[tuple[Action, Position]]:
-    """Moves that enter a free cell (goal included), in canonical action order."""
-    _require_standable(spec, pos)
-    return _free_moves(spec, pos)
 
 
 def optimal_path(spec: GridSpec) -> Trajectory:
@@ -319,12 +323,19 @@ def count_simple_paths(spec: GridSpec) -> int:
         return 0
     states = path_states(spec, path)
     index = {cell: i for i, cell in enumerate(states)}
+    min_x, min_y, walls, pits = spec.min_x, spec.min_y, spec.walls, spec.pits
+    max_x, max_y = spec.max_x, spec.max_y
     seen: set[Position] = set()
     for i, root in enumerate(states):
         stack = [root]
         while stack:
             pos = stack.pop()
-            for _, dest in _free_moves(spec, pos):
+            x, y = pos
+            for _, dx, dy in _STEPS:
+                dest = (x + dx, y + dy)
+                if not (min_x <= dest[0] <= max_x and min_y <= dest[1] <= max_y) \
+                        or dest in walls or dest in pits:
+                    continue
                 j = index.get(dest)
                 if j is None:
                     if dest not in seen:

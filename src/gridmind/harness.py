@@ -174,8 +174,13 @@ class ConstantAgent(Agent):
 
 def evaluate_optimal(spec: GridSpec, reply: str) -> EpisodeResult:
     """Score one single-turn reply against the unique shortest path."""
+    return _score_optimal(spec, render_instruction(spec), reply)
+
+
+def _score_optimal(spec: GridSpec, opening: list[PromptText], reply: str) -> EpisodeResult:
+    """``evaluate_optimal`` for a reply to the already rendered ``opening``."""
     plan = [a for a, _ in optimal_path(spec)]
-    transcript = render_instruction(spec) + [PromptText(GPT, reply)]
+    transcript = opening + [PromptText(GPT, reply)]
     try:
         _, actions = parse_plan(reply)
     except PlanParseError:
@@ -238,7 +243,8 @@ def run_episode(
     outcome = "aborted"
     try:
         if mode == OPTIMAL:
-            result = evaluate_optimal(spec, _ask(agent, render_instruction(spec)))
+            opening = render_instruction(spec)
+            result = _score_optimal(spec, opening, _ask(agent, list(opening)))
         else:
             result = _play_reachable(spec, agent, max_steps)
         outcome = result.outcome.value

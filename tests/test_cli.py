@@ -208,6 +208,21 @@ def test_eval_rejects_too_few_recorded_replies(tmp_path, capsys):
                  "--mode", "optimal"], capsys)
 
 
+def test_eval_checks_the_reply_count_before_any_episode(tmp_path, capsys, monkeypatch):
+    import gridmind.cli as cli
+
+    run_cli(gen_args(tmp_path / "data", count=3, variant="bwd-none"), capsys)
+    shard = tmp_path / "data" / "train-bwd-none-0000-of-0001.jsonl"
+    plans = tmp_path / "plans.jsonl"
+    plans.write_text('{"text": "up"}\n{"text": "down"}\n')
+    entered = []
+    monkeypatch.setattr(cli, "evaluate_batch", lambda *a, **k: entered.append(a))
+    with pytest.raises(SystemExit, match="no recorded reply for episode 2"):
+        run_cli(["eval", "--test-file", str(shard), "--agent", f"plans:{plans}",
+                 "--mode", "reachable"], capsys)
+    assert entered == []
+
+
 def test_stats_names_the_line_of_a_bad_record(tmp_path, capsys):
     run_cli(gen_args(tmp_path / "data", count=2), capsys)
     shard = tmp_path / "data" / "train-fwd-full-bt-0000-of-0001.jsonl"

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from gridmind import Action, GridSpec
@@ -20,7 +22,7 @@ from gridmind.cogmap import (
     serialize_thought,
 )
 from gridmind.generate import TRAIN_PARAMS, generate_indexed
-from gridmind.grid import optimal_path
+from gridmind.grid import optimal_path, translate
 
 from conftest import load_golden
 
@@ -109,6 +111,17 @@ def test_trace_cut_reasons(ref_env):
     back = {rec.neighbor: rec for rec in trace.layers[1][1].records}
     assert back[(0, 0)].cut_reason is CutReason.VISITED
     assert back[(1, 1)].cut_reason is CutReason.WALL
+
+
+def test_thought_text_beyond_the_coordinate_table(ref_env):
+    # cells past one step around [0, 19]^2 are formatted on demand, the same way
+    far = translate(ref_env, 40, -7)
+    variant = CotVariant.from_name("fwd-full-bt")
+    near_text = serialize_thought(build_search_trace(ref_env, Direction.FWD), variant)
+    shifted = re.sub(
+        r"\((-?\d+), (-?\d+)\)", lambda m: f"({int(m[1]) + 40}, {int(m[2]) - 7})", near_text
+    )
+    assert serialize_thought(build_search_trace(far, Direction.FWD), variant) == shifted
 
 
 def test_backtrack_entries(ref_env):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -171,6 +172,19 @@ def test_spec_validate_rejects_bad_specs(ref_env):
             pits=frozenset({(0, 0)}),
         ).validate()
     ref_env.validate()  # the good one passes
+
+
+@pytest.mark.parametrize("kind", ["wall", "pit"])
+@pytest.mark.parametrize("cell", [(-1, 1), (3, 1), (1, -1), (1, 3)])
+def test_spec_validate_names_an_out_of_bounds_obstacle(kind, cell):
+    inside = frozenset({(1, 1), (2, 0)})
+    spec = GridSpec(
+        min_x=0, min_y=0, size_x=3, size_y=3, start=(0, 0), goal=(2, 2),
+        walls=inside | {cell} if kind == "wall" else inside,
+        pits=frozenset({cell}) if kind == "pit" else frozenset(),
+    )
+    with pytest.raises(ValueError, match=re.escape(f"{kind} {cell} is out of bounds")):
+        spec.validate()
 
 
 def test_translate_preserves_structure(ref_env):

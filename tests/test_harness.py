@@ -23,7 +23,7 @@ from gridmind import (
 from gridmind.generate import TEST_PARAMS, TRAIN_PARAMS, generate_indexed
 from gridmind.grid import optimal_path
 from gridmind.harness import OPTIMAL, REACHABLE, Agent, AgentTransportError, OracleAgent
-from gridmind.prompts import GPT, HUMAN, RULES_TEXT
+from gridmind.prompts import GPT, HUMAN, RULES_TEXT, render_instruction
 
 from conftest import GOLDEN_DIR
 
@@ -331,6 +331,22 @@ def test_plans_factory_index_bounds(ref_env):
     factory(ref_env, 0, 0)
     with pytest.raises(ValueError):
         factory(ref_env, 1, 0)
+
+
+def test_optimal_episode_renders_the_opening_once(monkeypatch):
+    import gridmind.harness as harness
+
+    calls = []
+
+    def counting(spec):
+        calls.append(spec)
+        return render_instruction(spec)
+
+    monkeypatch.setattr(harness, "render_instruction", counting)
+    specs = [generate_indexed(TEST_PARAMS, i) for i in range(10)]
+    report = evaluate_batch(specs, scripted_agent_factory("oracle", OPTIMAL), OPTIMAL)
+    assert report.counts["success"] == 10
+    assert len(calls) == 10
 
 
 def test_run_episode_rejects_unknown_mode(ref_env):
