@@ -176,15 +176,14 @@ class HttpBridgeAgent(Agent):
             pass
 
 
-def bridge_agent_factory(endpoint: AgentEndpoint | str, timeout: float = DEFAULT_TIMEOUT):
-    """Factory (spec, index, episode_seed) -> Agent for an external endpoint."""
-    if isinstance(endpoint, str):
-        endpoint = AgentEndpoint.parse(endpoint, timeout)
+def bridge_agent_factory(endpoint: str, timeout: float = DEFAULT_TIMEOUT):
+    """Factory (spec, index, episode_seed) -> Agent for an endpoint string."""
+    parsed = AgentEndpoint.parse(endpoint, timeout)
 
     def factory(spec, index: int, episode_seed: int) -> Agent:
         session = f"ep-{index}"
-        if endpoint.transport == HTTP:
-            return HttpBridgeAgent(endpoint.address, session, endpoint.timeout)
-        return StdioBridgeAgent(endpoint.address, session, endpoint.timeout)
+        if parsed.transport == HTTP:
+            return HttpBridgeAgent(parsed.address, session, parsed.timeout)
+        return StdioBridgeAgent(parsed.address, session, parsed.timeout)
 
     return factory

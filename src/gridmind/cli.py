@@ -139,6 +139,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_stats(args) -> int:
+    if args.heatmap and not args.out:
+        raise SystemExit("--heatmap requires --out")
     report = stats_from_files(args.target)
     summary = report.to_json_dict()
     print(f"records: {summary['count']}")
@@ -158,8 +160,6 @@ def cmd_stats(args) -> int:
         for metric in args.heatmap or []:
             for path in export_heatmap(report, metric, out):
                 print(path)
-    elif args.heatmap:
-        raise SystemExit("--heatmap requires --out")
     return 0
 
 

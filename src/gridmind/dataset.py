@@ -18,7 +18,7 @@ from .cogmap import CotVariant, join_reply, render_parts
 from .generate import GenParams, TEST_PARAMS, TRAIN_PARAMS, generate_indexed
 from .grid import GridSpec, count_simple_paths, optimal_path
 from .prompts import GPT, PromptText, render_instruction
-from .stats import StatsReport, complexity, record_metrics
+from .stats import METRICS, StatsReport, complexity, record_metrics
 
 TRAIN = "train"
 TEST = "test"
@@ -26,14 +26,7 @@ SPLITS = (TRAIN, TEST)
 
 RECORD_KEYS = ("index", "split", "variant", "spec", "conversation", "complexity", "lengths")
 SPEC_KEYS = ("min_x", "min_y", "size_x", "size_y", "start", "goal", "walls", "pits", "seed")
-LENGTH_KEYS = (
-    "instruction_chars",
-    "thought_chars",
-    "plan_chars",
-    "instruction_words",
-    "thought_words",
-    "plan_words",
-)
+LENGTH_KEYS = METRICS[1:]
 
 
 def split_params(split: str, seed: int, params: GenParams | None = None) -> GenParams:
@@ -71,21 +64,42 @@ class DatasetRecord:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "DatasetRecord":
-        return cls(
-            index=d["index"],
-            split=d["split"],
-            variant=CotVariant.from_name(d["variant"]),
-            spec=GridSpec.from_json_dict(d["spec"]),
-            conversation=[PromptText(m["role"], m["text"]) for m in d["conversation"]],
-            complexity=d["complexity"],
-            lengths=dict(d["lengths"]),
-        )
+        """Decode one record line; raises ValueError on any departure from the format."""
+        try:
+            _check_keys("record", d, RECORD_KEYS)
+            _check_keys("spec", d["spec"], SPEC_KEYS)
+            _check_keys("lengths", d["lengths"], LENGTH_KEYS)
+            if d["split"] not in SPLITS:
+                raise ValueError(f"unknown split {d['split']!r}")
+            if type(d["index"]) is not int:
+                raise ValueError(f"index {d['index']!r} is not an int")
+            if type(d["complexity"]) is not float:
+                raise ValueError(f"complexity {d['complexity']!r} is not a float")
+            conversation = [PromptText(m["role"], m["text"]) for m in d["conversation"]]
+            if [t.role for t in conversation] != ["human", "gpt", "human", "gpt"]:
+                raise ValueError("conversation must be human/gpt/human/gpt")
+            return cls(
+                index=d["index"],
+                split=d["split"],
+                variant=CotVariant.from_name(d["variant"]),
+                spec=GridSpec.from_json_dict(d["spec"]),
+                conversation=conversation,
+                complexity=d["complexity"],
+                lengths=dict(d["lengths"]),
+            )
+        except (AttributeError, KeyError, TypeError) as exc:
+            raise ValueError(f"malformed record: {type(exc).__name__}: {exc}") from exc
 
 
-def render_conversation(
-    spec: GridSpec, variant: CotVariant, strict: bool = False
-) -> tuple[list[PromptText], dict[str, int]]:
-    """The four turns a record holds for ``spec``, and their lengths."""
+def _check_keys(name: str, obj: dict, keys: tuple[str, ...]) -> None:
+    if tuple(obj.keys()) != keys:
+        raise ValueError(f"{name} keys {list(obj.keys())} != {list(keys)}")
+
+
+def record_for(
+    spec: GridSpec, index: int, split: str, variant: CotVariant, strict: bool = False
+) -> DatasetRecord:
+    """The record ``generate`` writes for ``spec``: conversation and metrics."""
     opening = render_instruction(spec)
     thought, plan = render_parts(spec, variant, strict)
     lengths = {
@@ -96,30 +110,21 @@ def render_conversation(
         "thought_words": len(thought.split()),
         "plan_words": len(plan.split()),
     }
-    return opening + [PromptText(GPT, join_reply(thought, plan))], lengths
+    conversation = opening + [PromptText(GPT, join_reply(thought, plan))]
+    return DatasetRecord(index, split, variant, spec, conversation, complexity(spec), lengths)
 
 
 def build_record(
     params: GenParams, split: str, variant: CotVariant, index: int, strict: bool = False
 ) -> DatasetRecord:
     """Record ``index`` of the stream: environment, conversation, metrics."""
-    spec = generate_indexed(params, index)
-    conversation, lengths = render_conversation(spec, variant, strict)
-    return DatasetRecord(
-        index=index,
-        split=split,
-        variant=variant,
-        spec=spec,
-        conversation=conversation,
-        complexity=complexity(spec),
-        lengths=lengths,
-    )
+    return record_for(generate_indexed(params, index), index, split, variant, strict)
 
 
 def shard_ranges(count: int, shards: int) -> list[tuple[int, int]]:
     """Contiguous (start, count) blocks, sizes as even as possible."""
-    if shards < 1:
-        raise ValueError("shards must be at least 1")
+    if count < 0 or shards < 1:
+        raise ValueError(f"need count >= 0 and shards >= 1, got count {count}, shards {shards}")
     base, extra = divmod(count, shards)
     ranges = []
     start = 0
@@ -145,12 +150,13 @@ def generate_dataset(
     strict: bool = False,
 ) -> list[Path]:
     """Write the dataset shards plus a stats sidecar; returns written paths."""
+    ranges = shard_ranges(count, shards)
+    params = split_params(split, seed, params)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    params = split_params(split, seed, params)
     report = StatsReport()
     paths = []
-    for s, (start, n) in enumerate(shard_ranges(count, shards)):
+    for s, (start, n) in enumerate(ranges):
         path = out / shard_name(split, variant, s, shards)
         with open(path, "w") as fh:
             for index in range(start, start + n):
@@ -247,49 +253,35 @@ class VerifyReport:
         return not self.violations
 
 
-def _check_record(obj: dict, flag) -> None:
-    if list(obj.keys()) != list(RECORD_KEYS):
-        flag(f"record keys {list(obj.keys())} != {list(RECORD_KEYS)}")
-        return
-    if obj["split"] not in SPLITS:
-        flag(f"unknown split {obj['split']!r}")
+def _check_record(obj, flag) -> DatasetRecord | None:
+    """Flag each claim of a line that does not hold; the decoded record or None."""
     try:
-        variant = CotVariant.from_name(obj["variant"])
+        record = DatasetRecord.from_json_dict(obj)
     except ValueError as exc:
         flag(str(exc))
-        return
-    if list(obj["spec"].keys()) != list(SPEC_KEYS):
-        flag(f"spec keys {list(obj['spec'].keys())} != {list(SPEC_KEYS)}")
-        return
+        return None
     try:
-        spec = GridSpec.from_json_dict(obj["spec"])
-        spec.validate()
-    except (ValueError, TypeError, KeyError) as exc:
+        record.spec.validate()
+    except (TypeError, ValueError) as exc:
         flag(f"bad environment: {exc}")
-        return
-    paths = count_simple_paths(spec)
+        return record
+    paths = count_simple_paths(record.spec)
     if paths != 1:
         flag(f"expected exactly 1 simple path, found {'2 or more' if paths > 1 else 0}")
-        return
-    convo = obj["conversation"]
-    if len(convo) != 4 or [m.get("role") for m in convo] != ["human", "gpt", "human", "gpt"]:
-        flag("conversation must be human/gpt/human/gpt")
-        return
-    expected, expected_lengths = render_conversation(spec, variant)
-    for i, turn in enumerate(expected[:3]):
-        if convo[i]["text"] != turn.text:
-            flag(f"opening turn {i} does not match the environment")
-            return
-    if convo[3]["text"] != expected[3].text:
-        expected, expected_lengths = render_conversation(spec, variant, strict=True)
-        if convo[3]["text"] != expected[3].text:
-            flag("target text does not match the environment")
-            return
-    if dict(obj["lengths"]) != expected_lengths:
-        flag(f"lengths {obj['lengths']} != {expected_lengths}")
-    recomputed = complexity(spec)
-    if abs(obj["complexity"] - recomputed) > 1e-9:
-        flag(f"complexity {obj['complexity']} != recomputed {recomputed}")
+        return record
+    expected = record_for(record.spec, record.index, record.split, record.variant)
+    if record.conversation[3].text != expected.conversation[3].text:
+        expected = record_for(record.spec, record.index, record.split, record.variant, strict=True)
+    for i in range(4):
+        if record.conversation[i].text != expected.conversation[i].text:
+            flag(f"opening turn {i} does not match the environment" if i < 3
+                 else "target text does not match the environment")
+            return record
+    if record.lengths != expected.lengths:
+        flag(f"lengths {record.lengths} != {expected.lengths}")
+    if not abs(record.complexity - expected.complexity) <= 1e-9:
+        flag(f"complexity {record.complexity} != recomputed {expected.complexity}")
+    return record
 
 
 def verify_dataset(target: str | Path) -> VerifyReport:
@@ -306,9 +298,9 @@ def verify_dataset(target: str | Path) -> VerifyReport:
             if err is not None:
                 flag(f"bad JSON: {err}")
                 continue
-            _check_record(obj, flag)
-            if isinstance(obj, dict) and {"split", "variant", "index"} <= obj.keys():
-                key = (obj["split"], obj["variant"], obj["index"])
+            record = _check_record(obj, flag)
+            if record is not None:
+                key = (record.split, record.variant.name, record.index)
                 if key in seen:
                     flag(f"duplicate record {key} (also in {seen[key]})")
                 else:

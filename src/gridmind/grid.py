@@ -193,15 +193,17 @@ class GridSpec:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "GridSpec":
+        """A cell that is not an (x, y) pair raises ValueError as it is unpacked."""
+        (sx, sy), (gx, gy) = d["start"], d["goal"]
         return cls(
             min_x=d["min_x"],
             min_y=d["min_y"],
             size_x=d["size_x"],
             size_y=d["size_y"],
-            start=tuple(d["start"]),
-            goal=tuple(d["goal"]),
-            walls=frozenset(tuple(c) for c in d["walls"]),
-            pits=frozenset(tuple(c) for c in d["pits"]),
+            start=(sx, sy),
+            goal=(gx, gy),
+            walls=frozenset((x, y) for x, y in d["walls"]),
+            pits=frozenset((x, y) for x, y in d["pits"]),
             seed=d.get("seed"),
         )
 

@@ -236,10 +236,11 @@ def run_episode(
     """Play one episode under ``mode`` and close the agent exactly once.
 
     The agent is closed with the outcome, or with "aborted" when the episode
-    raised; an unknown mode raises before the agent is asked or closed.
+    raised; an unknown mode or a step budget below 1 raises before the agent
+    is asked or closed.
     """
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
+    if mode not in MODES or max_steps < 1:
+        raise ValueError(f"need a mode in {MODES} and max_steps >= 1, got {mode!r}, {max_steps}")
     outcome = "aborted"
     try:
         if mode == OPTIMAL:
@@ -307,9 +308,13 @@ def load_plans(path: str | Path) -> list[str]:
 
     def parse(obj: dict) -> tuple[int | None, str]:
         text = obj["text"]
+        if type(text) is not str:
+            raise ValueError(f"text {text!r} is not a string")
         if "index" not in obj:
             return None, text
-        index = int(obj["index"])
+        index = obj["index"]
+        if type(index) is not int:
+            raise ValueError(f"index {index!r} is not an int")
         if index in seen:
             raise ValueError(f"duplicate index {index}")
         seen.add(index)
@@ -392,8 +397,8 @@ def evaluate_batch(
     Episode i always draws its randomness from (seed, i), so reports are
     identical whatever the worker count or scheduling.
     """
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
+    if mode not in MODES or max_steps < 1:
+        raise ValueError(f"need a mode in {MODES} and max_steps >= 1, got {mode!r}, {max_steps}")
 
     def one(index: int) -> EpisodeSummary:
         spec = specs[index]

@@ -153,7 +153,9 @@ def record_metrics(record) -> tuple[int, int, dict[str, float]]:
         values = {"complexity": float(comp)}
         for metric in METRICS[1:]:
             values[metric] = float(lengths[metric])
-    except (KeyError, AttributeError, TypeError) as exc:
+        if type(size_x) is not int or type(size_y) is not int:
+            raise TypeError(f"size {size_x!r}x{size_y!r} is not a pair of ints")
+    except (KeyError, AttributeError, TypeError, OverflowError) as exc:
         raise ValueError(f"record does not match the dataset schema: {exc}") from exc
     return size_x, size_y, values
 

@@ -115,8 +115,10 @@ def test_stats_command(tmp_path, capsys):
 
 def test_stats_heatmap_requires_out(tmp_path, capsys):
     run_cli(gen_args(tmp_path / "data", count=2), capsys)
-    with pytest.raises(SystemExit):
+    with pytest.raises(SystemExit, match="--heatmap requires --out"):
         run_cli(["stats", str(tmp_path / "data"), "--heatmap", "complexity"], capsys)
+    # refused before any record was read or summarised
+    assert capsys.readouterr().out == ""
 
 
 def test_eval_oracle_modes(tmp_path, capsys):
@@ -233,6 +235,51 @@ def test_stats_names_the_line_of_a_bad_record(tmp_path, capsys):
     shard.write_text("\n".join(lines) + "\n")
     with pytest.raises(SystemExit, match=f"^{re.escape(str(shard))}:1: .*'spec'"):
         run_cli(["stats", str(shard)], capsys)
+
+
+def test_verify_reports_a_line_that_is_not_a_record(tmp_path, capsys):
+    run_cli(gen_args(tmp_path, count=2, variant="bwd-none"), capsys)
+    shard = tmp_path / "train-bwd-none-0000-of-0001.jsonl"
+    lines = shard.read_text().splitlines()
+    shard.write_text(lines[0] + "\n[]\n" + lines[1] + "\n")
+    code, out = run_cli(["verify", str(shard)], capsys)
+    assert code == 1
+    assert out.startswith(f"{shard}:2: ")
+    assert out.strip().endswith("checked 3 records: 1 violation(s)")
+
+
+def test_eval_names_the_line_of_a_short_wall_cell(tmp_path, capsys):
+    spec = {"min_x": 0, "min_y": 0, "size_x": 2, "size_y": 2, "start": [0, 0],
+            "goal": [1, 1], "walls": [[1]], "pits": [], "seed": None}
+    specs = tmp_path / "specs.jsonl"
+    specs.write_text(json.dumps(spec) + "\n")
+    with pytest.raises(SystemExit, match=f"^{re.escape(str(specs))}:1: "):
+        run_cli(["eval", "--test-file", str(specs), "--agent", "oracle",
+                 "--mode", "reachable"], capsys)
+
+
+@pytest.mark.parametrize("mode", ["optimal", "reachable"])
+@pytest.mark.parametrize("text", ["5", "null"])
+def test_eval_names_the_line_of_a_reply_that_is_not_text(tmp_path, capsys, mode, text):
+    run_cli(gen_args(tmp_path / "data", count=1, variant="bwd-none"), capsys)
+    shard = tmp_path / "data" / "train-bwd-none-0000-of-0001.jsonl"
+    plans = tmp_path / "plans.jsonl"
+    plans.write_text(f'{{"text": {text}}}\n')
+    with pytest.raises(SystemExit, match=f"^{re.escape(str(plans))}:1: text .* is not a string"):
+        run_cli(["eval", "--test-file", str(shard), "--agent", f"plans:{plans}",
+                 "--mode", mode], capsys)
+
+
+def test_run_sizes_below_their_minimum_are_errors(tmp_path, capsys):
+    with pytest.raises(SystemExit, match="count >= 0"):
+        run_cli(gen_args(tmp_path / "none", count=-3), capsys)
+    assert not (tmp_path / "none").exists()
+    run_cli(gen_args(tmp_path / "data", count=1, variant="bwd-none"), capsys)
+    shard = tmp_path / "data" / "train-bwd-none-0000-of-0001.jsonl"
+    for budget in ("0", "-1"):
+        with pytest.raises(SystemExit, match="max_steps >= 1"):
+            run_cli(["eval", "--test-file", str(shard), "--agent", "oracle",
+                     "--mode", "reachable", "--max-steps", budget], capsys)
 
 
 @pytest.mark.parametrize("command", ["verify", "stats"])

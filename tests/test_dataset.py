@@ -2,11 +2,14 @@ from __future__ import annotations
 
 import json
 import re
+import tempfile
 import threading
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from gridmind.cogmap import CotVariant
 from gridmind.dataset import (
@@ -95,6 +98,12 @@ def test_shard_layout_and_content_invariance(tmp_path):
     assert [len(p.read_text().splitlines()) for p in three[:-1]] == [4, 3, 3]
     # the sidecars agree even though the sharding differs
     assert one[-1].read_bytes() == three[-1].read_bytes()
+
+
+def test_generate_dataset_rejects_a_negative_count(tmp_path):
+    with pytest.raises(ValueError, match="count >= 0"):
+        generate_dataset(tmp_path / "out", "train", BWD_NONE, -3, seed=0)
+    assert not (tmp_path / "out").exists()
 
 
 def test_shard_ranges():
@@ -248,6 +257,51 @@ def test_loaders_name_the_line_of_a_malformed_record(tmp_path):
     for load in (load_records, load_specs, stats_from_files):
         with pytest.raises(ValueError, match=f"^{re.escape(str(shard))}:2: "):
             load(shard)
+
+
+def _key_paths(obj, prefix=()):
+    """Every key path into a parsed JSON value, the empty path included."""
+    yield prefix
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            yield from _key_paths(value, prefix + (key,))
+    elif isinstance(obj, list):
+        for i, value in enumerate(obj):
+            yield from _key_paths(value, prefix + (i,))
+
+
+# a small record with walls and pits, so every kind of field has a path
+_FUZZ_RECORD = build_record(split_params("train", seed=2), "train", FWD_FULL_BT, 4).to_json_dict()
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(list(_key_paths(_FUZZ_RECORD))), _json_values)
+@example(("complexity",), 10**400)  # too large for a float
+def test_any_json_value_in_any_field_is_reported_not_raised(key_path, value):
+    obj = json.loads(json.dumps(_FUZZ_RECORD))
+    if key_path:
+        *parents, last = key_path
+        target = obj
+        for key in parents:
+            target = target[key]
+        target[last] = value
+    else:
+        obj = value
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "data.jsonl"
+        path.write_text(json.dumps(obj) + "\n")
+        report = verify_dataset(path)
+        assert report.records == 1
+        for load in (load_records, load_specs, stats_from_files):
+            try:
+                load(path)
+            except ValueError as exc:
+                assert str(exc).startswith(f"{path}:1: "), exc
 
 
 def test_stats_sidecar_matches_the_shards(tmp_path):

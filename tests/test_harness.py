@@ -265,6 +265,20 @@ def test_load_plans_rejects_gaps_and_duplicate_indices(tmp_path):
         load_plans(duplicate)
 
 
+@pytest.mark.parametrize("line,needle", [
+    ('{"text": 5}', "text 5 is not a string"),
+    ('{"text": null}', "text None is not a string"),
+    # a truncated 1.5 would score this reply against episode 1
+    ('{"index": 1.5, "text": "b"}', "index 1.5 is not an int"),
+    ('{"index": "0", "text": "a"}', "index '0' is not an int"),
+])
+def test_load_plans_decodes_each_line_strictly(tmp_path, line, needle):
+    plans = tmp_path / "plans.jsonl"
+    plans.write_text('{"index": 0, "text": "a"}\n' + line + "\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(plans))}:2: {re.escape(needle)}"):
+        load_plans(plans)
+
+
 def test_batch_oracle_matches_optimal_lengths():
     specs = [generate_indexed(TEST_PARAMS, i) for i in range(40)]
     report = evaluate_batch(specs, scripted_agent_factory("oracle", REACHABLE), REACHABLE)
@@ -357,6 +371,24 @@ def test_run_episode_rejects_unknown_mode(ref_env):
     assert agent.asked == 0 and agent.closes == []
     with pytest.raises(ValueError):
         evaluate_batch([ref_env], scripted_agent_factory("oracle", REACHABLE), "teleport")
+
+
+@pytest.mark.parametrize("mode", [OPTIMAL, REACHABLE])
+@pytest.mark.parametrize("max_steps", [0, -1])
+def test_a_step_budget_below_one_is_rejected(ref_env, mode, max_steps):
+    agent = Recorder(OracleAgent(ref_env, mode))
+    with pytest.raises(ValueError, match="max_steps >= 1"):
+        run_episode(ref_env, agent, mode, max_steps)
+    assert agent.asked == 0 and agent.closes == []
+    made = []
+
+    def factory(spec, index, episode_seed):
+        made.append(index)
+        return OracleAgent(spec, mode)
+
+    with pytest.raises(ValueError, match="max_steps >= 1"):
+        evaluate_batch([ref_env], factory, mode, max_steps=max_steps)
+    assert made == []
 
 
 def test_batch_report_outcome_counts(ref_env):
