@@ -3,18 +3,14 @@
 from .cogmap import (
     ALL_VARIANTS,
     CotVariant,
-    CutReason,
     Direction,
-    NeighborRecord,
     PlanParseError,
-    SearchTrace,
     Verbosity,
     build_search_trace,
     parse_plan,
     render_parts,
     render_target,
     serialize_plan,
-    serialize_thought,
 )
 from .generate import (
     GenParams,

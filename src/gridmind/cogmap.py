@@ -1,18 +1,19 @@
-"""Layered search traces over the grid and their text serializations.
+"""Breadth-first search traces over the grid, written as "Thought:" text.
 
-A trace records a breadth-first wave from a root cell (the start, or the goal
-when run backward) until the opposite endpoint is found. Each layer expands
-the cells kept by the previous one, probing all four neighbors in canonical
-order and recording a verdict: kept, or cut with the reason (out of bounds,
-wall, pit, already visited). Because the sweep stops at the endpoint's layer,
-the number of layers always equals the solution length.
+A trace is a breadth-first wave from a root cell (the start, or the goal when
+run backward) until the opposite endpoint is found. Each layer expands the
+cells kept by the previous one and probes all four neighbors in canonical
+order; a probe is kept when it enters a free cell not seen before, and cut
+otherwise (out of bounds, wall, pit or already visited). Because the sweep
+stops at the endpoint's layer, the number of layers always equals the
+solution length.
 
-Serialization turns a trace into the "Thought:" text that precedes a plan.
-Eight variants per direction control what is written: nothing at all, bare
-step headers, only kept moves, every probe labeled with its move word, or
-every probe with dead ones labeled ``cut``; each with or without a final
-"Backtrack:" walk of the solution. The plan itself is the move words, one
-per line. ``parse_plan`` inverts all of it.
+``build_search_trace`` writes the text in that one sweep, appending each
+probe's lines as it is made. Eight variants per direction control what is
+written: nothing at all, bare step headers, only kept moves, every probe
+labeled with its move word, or every probe with dead ones labeled ``cut``;
+each with or without a final "Backtrack:" walk of the solution. The plan
+itself is the move words, one per line. ``parse_plan`` inverts all of it.
 """
 
 from __future__ import annotations
@@ -20,9 +21,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple
+from functools import cache
 
-from .grid import ACTIONS, GLOBAL_MAX_COORD, Action, GridSpec, Position, optimal_path, path_states
+from .grid import ACTIONS, GLOBAL_MAX_COORD, Action, GridSpec, Position, optimal_path
 from .prompts import POSITION_RE, format_position, parse_position
 
 CUT_TOKEN = "cut"
@@ -41,54 +42,6 @@ class Verbosity(Enum):
     FULL_MARKED = "full-marked"
 
 
-class CutReason(Enum):
-    OUT_OF_BOUNDS = "out_of_bounds"
-    WALL = "wall"
-    PIT = "pit"
-    VISITED = "visited"
-
-
-class NeighborRecord(NamedTuple):
-    """One probed neighbor: where, the move word it is labeled with, verdict.
-
-    Labels name the move from the expanded cell for forward traces and the
-    move from the neighbor back into the expanded cell for backward ones, so
-    a backward trace reads as instructions toward the goal.
-    """
-
-    neighbor: Position
-    label: Action
-    kept: bool
-    cut_reason: CutReason | None = None
-
-
-class Expansion(NamedTuple):
-    origin: Position
-    records: tuple[NeighborRecord, ...]
-
-
-@dataclass(frozen=True)
-class SearchTrace:
-    direction: Direction
-    layers: tuple[tuple[Expansion, ...], ...]
-    plan: tuple[Action, ...]
-    states: tuple[Position, ...]  # start..goal, both ends included
-
-    @property
-    def root(self) -> Position:
-        return self.states[0] if self.direction is Direction.FWD else self.states[-1]
-
-    @property
-    def terminal(self) -> Position:
-        return self.states[-1] if self.direction is Direction.FWD else self.states[0]
-
-
-# per direction, (label, dx, dy) for each probe in canonical action order
-_PROBES = {
-    d: tuple((a if d is Direction.FWD else a.inverse, *a.delta) for a in ACTIONS) for d in Direction
-}
-
-
 class _PositionText(dict):
     """'(x, y)' per cell; cells outside the table are formatted on demand."""
 
@@ -102,51 +55,6 @@ _POSITION_TEXT = _PositionText(
     for x in range(-1, GLOBAL_MAX_COORD + 2)
     for y in range(-1, GLOBAL_MAX_COORD + 2)
 )
-
-
-def build_search_trace(spec: GridSpec, direction: Direction) -> SearchTrace:
-    """Run the layered sweep from start (FWD) or goal (BWD)."""
-    fwd = optimal_path(spec)
-    plan = tuple(a for a, _ in fwd)
-    states = tuple(path_states(spec, fwd))
-    root = states[0] if direction is Direction.FWD else states[-1]
-    terminal = states[-1] if direction is Direction.FWD else states[0]
-    min_x, min_y, walls, pits = spec.min_x, spec.min_y, spec.walls, spec.pits
-    max_x, max_y = spec.max_x, spec.max_y
-    probes = _PROBES[direction]
-    # hoisted: each Enum member lookup on the class is a Python-level call
-    oob, wall, pit, seen = CutReason.OUT_OF_BOUNDS, CutReason.WALL, CutReason.PIT, CutReason.VISITED
-
-    visited = {root}
-    frontier = [root]
-    layers: list[tuple[Expansion, ...]] = []
-    while terminal not in visited:
-        next_frontier: list[Position] = []
-        layer: list[Expansion] = []
-        for origin in frontier:
-            x, y = origin
-            records = []
-            for label, dx, dy in probes:
-                dest = (x + dx, y + dy)
-                if not (min_x <= dest[0] <= max_x and min_y <= dest[1] <= max_y):
-                    rec = NeighborRecord(dest, label, False, oob)
-                elif dest in walls:
-                    rec = NeighborRecord(dest, label, False, wall)
-                elif dest in pits:
-                    rec = NeighborRecord(dest, label, False, pit)
-                elif dest in visited:
-                    rec = NeighborRecord(dest, label, False, seen)
-                else:
-                    rec = NeighborRecord(dest, label, True)
-                    visited.add(dest)
-                    next_frontier.append(dest)
-                records.append(rec)
-            layer.append(Expansion(origin, tuple(records)))
-        layers.append(tuple(layer))
-        frontier = next_frontier
-    trace = SearchTrace(direction, tuple(layers), plan, states)
-    assert len(trace.layers) == len(plan), "layer count must equal solution length"
-    return trace
 
 
 @dataclass(frozen=True)
@@ -190,60 +98,82 @@ VARIANT_NAMES = tuple(v.name for v in ALL_VARIANTS)
 _VARIANTS_BY_NAME = {v.name: v for v in ALL_VARIANTS}
 
 
-def backtrack_entries(trace: SearchTrace) -> list[tuple[Position, Action | None]]:
-    """Solution walk for the Backtrack section.
+@cache
+def _probes(variant: CotVariant) -> tuple[tuple[str | None, str | None, int, int], ...]:
+    """(kept word, cut word, dx, dy) per probe in canonical action order.
 
-    Forward traces walk goal to start, annotating each state with the move
-    that reached it; backward traces walk start to goal, annotating each
-    state with the move to take next. The final state has no annotation.
+    Labels name the move from the expanded cell for forward traces and the
+    move from the neighbor back into the expanded cell for backward ones, so
+    a backward trace reads as instructions toward the goal. A word of None
+    writes nothing for that probe.
     """
-    states, plan = trace.states, trace.plan
-    if trace.direction is Direction.FWD:
-        entries: list[tuple[Position, Action | None]] = [
-            (states[i], plan[i - 1]) for i in range(len(states) - 1, 0, -1)
-        ]
-        entries.append((states[0], None))
-    else:
-        entries = [(states[i], plan[i]) for i in range(len(plan))]
-        entries.append((states[-1], None))
-    return entries
+    out = []
+    for action in ACTIONS:
+        word = (action if variant.direction is Direction.FWD else action.inverse).value
+        kept = None if variant.verbosity is Verbosity.STEPS else word
+        cut = {Verbosity.FULL: word, Verbosity.FULL_MARKED: CUT_TOKEN}.get(variant.verbosity)
+        out.append((kept, cut, *action.delta))
+    return tuple(out)
 
 
-def serialize_thought(trace: SearchTrace, variant: CotVariant, strict: bool = False) -> str:
-    """The Thought text for a trace, empty string for the silent variant.
+def build_search_trace(spec: GridSpec, variant: CotVariant, strict: bool = False) -> str:
+    """The Thought text of ``variant``: one sweep from start (fwd) or goal (bwd).
 
-    ``strict`` reproduces the historical forward quirk of gluing the first
-    Backtrack state to its move word on one line; by default every entry is
-    rendered uniformly as a state line followed by a move line.
+    Empty for the silent variants. ``strict`` reproduces the historical
+    forward quirk of gluing the first Backtrack state to its move word on one
+    line; by default every entry is a state line followed by a move line.
     """
-    verbosity = variant.verbosity
-    if verbosity is Verbosity.NONE:
+    if variant.verbosity is Verbosity.NONE:
         return ""
+    path = optimal_path(spec)
+    fwd = variant.direction is Direction.FWD
+    root, terminal = (spec.start, spec.goal) if fwd else (spec.goal, spec.start)
+    min_x, min_y, max_x, max_y = spec.min_x, spec.min_y, spec.max_x, spec.max_y
+    probes = _probes(variant)
     text = _POSITION_TEXT
-    kept_only = verbosity is Verbosity.KEPT
-    marked = verbosity is Verbosity.FULL_MARKED
     lines = ["Thought:"]
-    for step, layer in enumerate(trace.layers, start=1):
-        lines.append(f"Step {step}:")
-        if verbosity is Verbosity.STEPS:
-            continue
-        for _, records in layer:
-            # ``_value_`` is the move word without the Enum property lookup
-            for neighbor, label, kept, _ in records:
-                if kept:
-                    lines += (text[neighbor], label._value_)
-                elif not kept_only:
-                    lines += (text[neighbor], CUT_TOKEN if marked else label._value_)
+    append = lines.append
+    # visited cells and obstacles alike cut a probe; the reason is not written
+    closed = {root}.union(spec.walls, spec.pits)
+    frontier = [root]
+    layers = 0
+    while terminal not in closed:
+        layers += 1
+        append(f"Step {layers}:")
+        kept_cells = []
+        for x, y in frontier:
+            for kept, cut, dx, dy in probes:
+                nx, ny = x + dx, y + dy
+                dest = (nx, ny)
+                if min_x <= nx <= max_x and min_y <= ny <= max_y and dest not in closed:
+                    closed.add(dest)
+                    kept_cells.append(dest)
+                    if kept:
+                        append(text[dest])
+                        append(kept)
+                elif cut:
+                    append(text[dest])
+                    append(cut)
+        frontier = kept_cells
+    assert layers == len(path), "layer count must equal solution length"
     if variant.backtrack:
-        lines.append("Backtrack:")
-        merge_first = strict and trace.direction is Direction.FWD
-        for i, (pos, action) in enumerate(backtrack_entries(trace)):
-            if action is None:
-                lines.append(text[pos])
-            elif merge_first and i == 0:
-                lines.append(text[pos] + action._value_)
-            else:
-                lines += (text[pos], action._value_)
+        # forward: goal to start, each state with the move that reached it;
+        # backward: start to goal, each state with the move to take next
+        append("Backtrack:")
+        first = len(lines)
+        if fwd:
+            for action, state in reversed(path):
+                append(text[state])
+                append(action._value_)
+        else:
+            state = spec.start
+            for action, nxt in path:
+                append(text[state])
+                append(action._value_)
+                state = nxt
+        append(text[root])
+        if strict and fwd:
+            lines[first:first + 2] = [lines[first] + lines[first + 1]]
     return "\n".join(lines)
 
 
@@ -254,11 +184,10 @@ def serialize_plan(plan) -> str:
 
 def render_parts(spec: GridSpec, variant: CotVariant, strict: bool = False) -> tuple[str, str]:
     """(thought, plan) texts for an environment under one variant."""
-    if variant.verbosity is Verbosity.NONE and not variant.backtrack:
-        plan = tuple(a for a, _ in optimal_path(spec))
-        return "", serialize_plan(plan)
-    trace = build_search_trace(spec, variant.direction)
-    return serialize_thought(trace, variant, strict), serialize_plan(trace.plan)
+    plan = serialize_plan(a for a, _ in optimal_path(spec))
+    if variant.verbosity is Verbosity.NONE:
+        return "", plan
+    return build_search_trace(spec, variant, strict), plan
 
 
 def join_reply(thought: str, plan: str) -> str:

@@ -12,7 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property
+from itertools import chain
 import json
+import math
 
 Position = tuple[int, int]
 
@@ -65,6 +67,9 @@ _BY_WORD: dict[str, Action] = {a.value: a for a in ACTIONS}
 _STEPS: tuple[tuple[Action, int, int], ...] = tuple((a, *_DELTAS[a]) for a in ACTIONS)
 
 GLOBAL_MAX_COORD = 19
+
+# count_simple_paths' flood marks; a solution cell is marked with its index
+_FREE, _CLOSED = -1, -2
 
 
 @dataclass(frozen=True)
@@ -133,6 +138,12 @@ class GridSpec:
             cur = prev
         return tuple(reversed(path))
 
+    @cached_property
+    def _complexity(self) -> float:
+        """``stats.complexity``, computed on first use and kept on the spec."""
+        states = path_states(self, optimal_path(self))
+        return sum(math.log(len(valid_actions(self, s))) for s in states[:-1])
+
     def free_cells(self) -> list[Position]:
         """All free cells in lexicographic order."""
         return [
@@ -143,7 +154,24 @@ class GridSpec:
         ]
 
     def validate(self) -> None:
-        """Raise ValueError on any structural violation."""
+        """Raise ValueError on any structural violation.
+
+        Every number must be exactly an int: not a float, not a bool. The
+        types and the extremes of all coordinates are each checked in one
+        C-speed pass; the loops after a failed pass only name the offender.
+        """
+        xs, ys = zip(self.start, self.goal, *self.walls, *self.pits)
+        scalars = {"min_x": self.min_x, "min_y": self.min_y,
+                   "size_x": self.size_x, "size_y": self.size_y}
+        if set(map(type, chain(scalars.values(), xs, ys))) != {int}:
+            for name, value in scalars.items():
+                if type(value) is not int:
+                    raise ValueError(f"{name} {value!r} is not an int")
+            cells = chain((("start", self.start), ("goal", self.goal)),
+                          (("wall", c) for c in self.walls), (("pit", c) for c in self.pits))
+            for name, cell in cells:
+                if set(map(type, cell)) != {int}:
+                    raise ValueError(f"{name} {cell} has a coordinate that is not an int")
         if self.size_x < 2 or self.size_y < 2:
             raise ValueError(f"sizes must be at least 2, got {self.size_x}x{self.size_y}")
         if min(self.min_x, self.min_y) < 0 or max(self.max_x, self.max_y) > GLOBAL_MAX_COORD:
@@ -160,12 +188,6 @@ class GridSpec:
                 raise ValueError(f"{name} {cell} lies on an obstacle")
         if self.walls & self.pits:
             raise ValueError(f"walls and pits overlap: {sorted(self.walls & self.pits)}")
-        # one pass over the extremes; the per-cell loop names the offender
-        obstacles = [*self.walls, *self.pits]
-        if not obstacles:
-            return
-        xs = [c[0] for c in obstacles]
-        ys = [c[1] for c in obstacles]
         if (self.min_x <= min(xs) and max(xs) <= self.max_x
                 and self.min_y <= min(ys) and max(ys) <= self.max_y):
             return
@@ -319,30 +341,41 @@ def count_simple_paths(spec: GridSpec) -> int:
     are joined by a detour, which splices into a second simple path, and a
     second simple path must leave the solution and rejoin it by such a
     detour. So the solution is unique iff no region holds two of its cells.
+
+    The flood runs on a flat list over the board and a one-cell border ring,
+    cell ``(x, y)`` at ``(x - min_x + 1) * (size_y + 2) + y - min_y + 1``, so
+    the neighbours of ``c`` are ``c ± 1`` and ``c ± (size_y + 2)``. Each entry
+    is _FREE, _CLOSED (border, wall, pit or already flooded) or the index of
+    a solution cell.
     """
     path = spec._solution
     if path is None:
         return 0
-    states = path_states(spec, path)
-    index = {cell: i for i, cell in enumerate(states)}
-    min_x, min_y, walls, pits = spec.min_x, spec.min_y, spec.walls, spec.pits
-    max_x, max_y = spec.max_x, spec.max_y
-    seen: set[Position] = set()
-    for i, root in enumerate(states):
+    min_x, min_y, max_x, max_y = spec.min_x, spec.min_y, spec.max_x, spec.max_y
+    h = spec.size_y + 2
+    ox, oy = min_x - 1, min_y - 1
+    column = [_CLOSED] + [_FREE] * spec.size_y + [_CLOSED]
+    mark = [_CLOSED] * h + column * spec.size_x + [_CLOSED] * h
+    for cells in (spec.walls, spec.pits):
+        for x, y in cells:
+            # an obstacle off the board would index (or, negative, wrap onto) a real cell
+            if min_x <= x <= max_x and min_y <= y <= max_y:
+                mark[(x - ox) * h + y - oy] = _CLOSED
+    roots = [(spec.start[0] - ox) * h + spec.start[1] - oy]
+    roots += [(x - ox) * h + y - oy for _, (x, y) in path]
+    for i, root in enumerate(roots):
+        mark[root] = i
+    steps = (1, -1, -h, h)
+    for i, root in enumerate(roots):
         stack = [root]
         while stack:
-            pos = stack.pop()
-            x, y = pos
-            for _, dx, dy in _STEPS:
-                dest = (x + dx, y + dy)
-                if not (min_x <= dest[0] <= max_x and min_y <= dest[1] <= max_y) \
-                        or dest in walls or dest in pits:
-                    continue
-                j = index.get(dest)
-                if j is None:
-                    if dest not in seen:
-                        seen.add(dest)
-                        stack.append(dest)
-                elif j != i and not (pos == root and abs(j - i) == 1):
+            c = stack.pop()
+            for d in steps:
+                n = c + d
+                j = mark[n]
+                if j == _FREE:
+                    mark[n] = _CLOSED
+                    stack.append(n)
+                elif j >= 0 and j != i and not (c == root and (j == i - 1 or j == i + 1)):
                     return 2
     return 1

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .grid import GridSpec, optimal_path, path_states, valid_actions
+from .grid import GridSpec
 
 METRICS = (
     "complexity",
@@ -30,9 +30,11 @@ METRICS = (
 
 
 def complexity(spec: GridSpec) -> float:
-    """Sum of ln(number of valid moves) over solution states, goal excluded."""
-    states = path_states(spec, optimal_path(spec))
-    return sum(math.log(len(valid_actions(spec, s))) for s in states[:-1])
+    """Sum of ln(number of valid moves) over solution states, goal excluded.
+
+    Computed once per spec and kept on it, beside its solution.
+    """
+    return spec._complexity
 
 
 @dataclass

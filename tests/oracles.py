@@ -9,9 +9,11 @@ from __future__ import annotations
 
 import heapq
 import math
+from typing import NamedTuple
 
 # word -> coordinate delta, in the documented up/down/left/right order
 DELTAS = {"up": (0, 1), "down": (0, -1), "left": (-1, 0), "right": (1, 0)}
+OPPOSITE = {"up": "down", "down": "up", "left": "right", "right": "left"}
 
 
 def _standable(spec, pos) -> bool:
@@ -117,3 +119,129 @@ def is_tree(spec) -> bool:
                 seen.add(nxt)
                 stack.append(nxt)
     return seen == free
+
+
+class Probe(NamedTuple):
+    """One probed neighbor: where, its move word, and the verdict."""
+
+    neighbor: tuple
+    label: str
+    kept: bool
+    cut_reason: str | None  # "out_of_bounds", "wall", "pit" or "visited"
+
+
+class Expansion(NamedTuple):
+    origin: tuple
+    records: list
+
+
+class Trace(NamedTuple):
+    direction: str  # "fwd" or "bwd"
+    root: tuple
+    terminal: tuple
+    layers: list  # per layer, the Expansions of the cells the last one kept
+    plan: list  # move words, start to goal
+    states: list  # start..goal, both ends included
+
+
+def _cut_reason(spec, cell, seen):
+    x, y = cell
+    if not (spec.min_x <= x < spec.min_x + spec.size_x and spec.min_y <= y < spec.min_y + spec.size_y):
+        return "out_of_bounds"
+    if cell in spec.walls:
+        return "wall"
+    if cell in spec.pits:
+        return "pit"
+    if cell in seen:
+        return "visited"
+    return None
+
+
+def _layers(spec, root, terminal, backward):
+    """Breadth-first layers from root until terminal is kept.
+
+    Backward labels name the move from the neighbor into the expanded cell.
+    """
+    seen = {root}
+    frontier = [root]
+    layers = []
+    while terminal not in seen:
+        assert frontier, "terminal is unreachable"
+        layer, kept = [], []
+        for origin in frontier:
+            records = []
+            for word, (dx, dy) in DELTAS.items():
+                cell = (origin[0] + dx, origin[1] + dy)
+                reason = _cut_reason(spec, cell, seen)
+                if reason is None:
+                    seen.add(cell)
+                    kept.append(cell)
+                records.append(Probe(cell, OPPOSITE[word] if backward else word, reason is None, reason))
+            layer.append(Expansion(origin, records))
+        layers.append(layer)
+        frontier = kept
+    return layers
+
+
+def search_trace(spec, direction: str) -> Trace:
+    """The layered search from the start ("fwd") or the goal ("bwd").
+
+    The solution is read off the forward layers: each kept cell came from
+    the cell whose expansion first kept it.
+    """
+    forward = _layers(spec, spec.start, spec.goal, backward=False)
+    came_from = {
+        rec.neighbor: (exp.origin, rec.label)
+        for layer in forward for exp in layer for rec in exp.records if rec.kept
+    }
+    states, plan = [spec.goal], []
+    while states[-1] != spec.start:
+        prev, word = came_from[states[-1]]
+        states.append(prev)
+        plan.append(word)
+    states.reverse()
+    plan.reverse()
+    if direction == "fwd":
+        return Trace("fwd", spec.start, spec.goal, forward, plan, states)
+    backward = _layers(spec, spec.goal, spec.start, backward=True)
+    return Trace("bwd", spec.goal, spec.start, backward, plan, states)
+
+
+def thought_text(spec, variant: str, strict: bool = False) -> str:
+    """The Thought text for a variant name such as "bwd-full-marked-bt".
+
+    Forward backtracks walk goal to start, each state followed by the move
+    that entered it; backward ones walk start to goal, each state followed
+    by the move that leaves it. ``strict`` glues the first forward entry
+    onto one line.
+    """
+    direction, _, rest = variant.partition("-")
+    if rest == "none":
+        return ""
+    verbosity, _, suffix = rest.rpartition("-")
+    trace = search_trace(spec, direction)
+    lines = ["Thought:"]
+    for number, layer in enumerate(trace.layers, start=1):
+        lines.append(f"Step {number}:")
+        for exp in layer:
+            for rec in exp.records:
+                if verbosity == "steps" or (verbosity == "kept" and not rec.kept):
+                    continue
+                marked = verbosity == "full-marked" and not rec.kept
+                lines += [f"({rec.neighbor[0]}, {rec.neighbor[1]})", "cut" if marked else rec.label]
+    if suffix == "bt":
+        lines.append("Backtrack:")
+        n = len(trace.plan)
+        if direction == "fwd":
+            walk = [(trace.states[i], trace.plan[i - 1]) for i in range(n, 0, -1)] + [(spec.start, None)]
+        else:
+            walk = [(trace.states[i], trace.plan[i]) for i in range(n)] + [(spec.goal, None)]
+        for i, (state, word) in enumerate(walk):
+            text = f"({state[0]}, {state[1]})"
+            if word is None:
+                lines.append(text)
+            elif strict and direction == "fwd" and i == 0:
+                lines.append(text + word)
+            else:
+                lines += [text, word]
+    return "\n".join(lines)

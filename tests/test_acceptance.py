@@ -27,13 +27,7 @@ from gridmind import (
     run_reachable,
     scripted_agent_factory,
 )
-from gridmind.cogmap import (
-    ALL_VARIANTS,
-    CotVariant,
-    Direction,
-    build_search_trace,
-    serialize_thought,
-)
+from gridmind.cogmap import ALL_VARIANTS, CotVariant, Direction, render_parts
 from gridmind.dataset import generate_dataset
 from gridmind.generate import TEST_PARAMS, TRAIN_PARAMS, generate_indexed
 from gridmind.grid import optimal_path
@@ -76,15 +70,14 @@ GOLDEN_COT = [
 def test_acceptance_1_golden_serialization(ref_env):
     with criterion(1, "golden serialization") as detail:
         start = time.monotonic()
-        traces = {d: build_search_trace(ref_env, d) for d in Direction}
         matched = 0
         for name in GOLDEN_COT:
             variant = CotVariant.from_name(name)
             golden = load_golden(f"cot/{name}.txt")
-            strict = serialize_thought(traces[variant.direction], variant, strict=True)
+            strict, _ = render_parts(ref_env, variant, strict=True)
             assert strict == golden, f"{name} strict mismatch"
             matched += 1
-            uniform = serialize_thought(traces[variant.direction], variant, strict=False)
+            uniform, _ = render_parts(ref_env, variant, strict=False)
             if variant.direction is Direction.FWD and variant.backtrack:
                 # the single documented difference: the first backtrack entry
                 # is glued to its move word in the historical rendering

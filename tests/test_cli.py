@@ -258,6 +258,16 @@ def test_eval_names_the_line_of_a_short_wall_cell(tmp_path, capsys):
                  "--mode", "reachable"], capsys)
 
 
+def test_eval_names_the_line_of_a_coordinate_that_is_not_an_int(tmp_path, capsys):
+    spec = {"min_x": 0, "min_y": 0, "size_x": 2, "size_y": 2, "start": [0.5, 0],
+            "goal": [0.5, 1], "walls": [], "pits": [], "seed": None}
+    specs = tmp_path / "specs.jsonl"
+    specs.write_text(json.dumps(spec) + "\n")
+    with pytest.raises(SystemExit, match=f"^{re.escape(str(specs))}:1: .*start \\(0\\.5, 0\\)"):
+        run_cli(["eval", "--test-file", str(specs), "--agent", "dfs",
+                 "--mode", "reachable"], capsys)
+
+
 @pytest.mark.parametrize("mode", ["optimal", "reachable"])
 @pytest.mark.parametrize("text", ["5", "null"])
 def test_eval_names_the_line_of_a_reply_that_is_not_text(tmp_path, capsys, mode, text):

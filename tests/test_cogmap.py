@@ -3,28 +3,25 @@ from __future__ import annotations
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from gridmind import Action, GridSpec
+from gridmind import GridSpec
 from gridmind.cogmap import (
     ALL_VARIANTS,
     CUT_TOKEN,
     VARIANT_NAMES,
     CotVariant,
-    CutReason,
     Direction,
     PlanParseError,
-    Verbosity,
-    backtrack_entries,
-    build_search_trace,
     parse_plan,
     render_parts,
     render_target,
-    serialize_thought,
 )
-from gridmind.generate import TRAIN_PARAMS, generate_indexed
+from gridmind.generate import TEST_PARAMS, TRAIN_PARAMS, generate_indexed
 from gridmind.grid import optimal_path, translate
 
 from conftest import load_golden
+from oracles import DELTAS, search_trace, thought_text
 
 GOLDEN_VARIANTS = [
     f"{d}-{v}"
@@ -44,18 +41,15 @@ GOLDEN_VARIANTS = [
 @pytest.mark.parametrize("name", GOLDEN_VARIANTS)
 def test_thought_goldens_strict(ref_env, name):
     variant = CotVariant.from_name(name)
-    trace = build_search_trace(ref_env, variant.direction)
-    assert serialize_thought(trace, variant, strict=True) == load_golden(
-        f"cot/{name}.txt"
-    )
+    thought, _ = render_parts(ref_env, variant, strict=True)
+    assert thought == load_golden(f"cot/{name}.txt")
 
 
 def test_uniform_differs_from_strict_only_on_first_forward_backtrack(ref_env):
     for name in GOLDEN_VARIANTS:
         variant = CotVariant.from_name(name)
-        trace = build_search_trace(ref_env, variant.direction)
-        strict = serialize_thought(trace, variant, strict=True)
-        uniform = serialize_thought(trace, variant, strict=False)
+        strict, _ = render_parts(ref_env, variant, strict=True)
+        uniform, _ = render_parts(ref_env, variant, strict=False)
         if variant.direction is Direction.BWD or not variant.backtrack:
             assert uniform == strict
             continue
@@ -79,12 +73,12 @@ def test_variant_roster():
 
 
 def test_trace_structure(ref_env):
-    for direction in Direction:
-        trace = build_search_trace(ref_env, direction)
+    for direction in ("fwd", "bwd"):
+        trace = search_trace(ref_env, direction)
         assert len(trace.layers) == len(trace.plan) == 5
         assert trace.states[0] == ref_env.start
         assert trace.states[-1] == ref_env.goal
-        if direction is Direction.FWD:
+        if direction == "fwd":
             assert trace.root == ref_env.start and trace.terminal == ref_env.goal
         else:
             assert trace.root == ref_env.goal and trace.terminal == ref_env.start
@@ -92,50 +86,62 @@ def test_trace_structure(ref_env):
             for expansion in layer:
                 assert len(expansion.records) == 4
                 for rec in expansion.records:
-                    if direction is Direction.FWD:
-                        assert rec.label.apply(expansion.origin) == rec.neighbor
+                    dx, dy = DELTAS[rec.label]
+                    if direction == "fwd":
+                        assert (expansion.origin[0] + dx, expansion.origin[1] + dy) == rec.neighbor
                     else:
-                        assert rec.label.apply(rec.neighbor) == expansion.origin
+                        assert (rec.neighbor[0] + dx, rec.neighbor[1] + dy) == expansion.origin
                     assert rec.kept == (rec.cut_reason is None)
 
 
 def test_trace_cut_reasons(ref_env):
-    trace = build_search_trace(ref_env, Direction.FWD)
+    trace = search_trace(ref_env, "fwd")
     first = {rec.neighbor: rec for rec in trace.layers[0][0].records}
     assert first[(0, 1)].kept and first[(1, 0)].kept
-    assert first[(0, -1)].cut_reason is CutReason.OUT_OF_BOUNDS
-    assert first[(-1, 0)].cut_reason is CutReason.OUT_OF_BOUNDS
+    assert first[(0, -1)].cut_reason == "out_of_bounds"
+    assert first[(-1, 0)].cut_reason == "out_of_bounds"
     # the root is pre-seeded as visited, so stepping back onto it is a cut
     second_origins = [e.origin for e in trace.layers[1]]
     assert second_origins == [(0, 1), (1, 0)]
     back = {rec.neighbor: rec for rec in trace.layers[1][1].records}
-    assert back[(0, 0)].cut_reason is CutReason.VISITED
-    assert back[(1, 1)].cut_reason is CutReason.WALL
+    assert back[(0, 0)].cut_reason == "visited"
+    assert back[(1, 1)].cut_reason == "wall"
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([TRAIN_PARAMS, TEST_PARAMS]), st.integers(0, 2**32))
+def test_sweep_matches_the_oracle_trace(params, index):
+    spec = generate_indexed(params, index)
+    for variant in ALL_VARIANTS:
+        for strict in (False, True):
+            thought, _ = render_parts(spec, variant, strict)
+            assert thought == thought_text(spec, variant.name, strict), (variant.name, strict)
 
 
 def test_thought_text_beyond_the_coordinate_table(ref_env):
     # cells past one step around [0, 19]^2 are formatted on demand, the same way
     far = translate(ref_env, 40, -7)
     variant = CotVariant.from_name("fwd-full-bt")
-    near_text = serialize_thought(build_search_trace(ref_env, Direction.FWD), variant)
+    near_text, _ = render_parts(ref_env, variant)
     shifted = re.sub(
         r"\((-?\d+), (-?\d+)\)", lambda m: f"({int(m[1]) + 40}, {int(m[2]) - 7})", near_text
     )
-    assert serialize_thought(build_search_trace(far, Direction.FWD), variant) == shifted
+    assert render_parts(far, variant)[0] == shifted
 
 
 def test_backtrack_entries(ref_env):
-    fwd = build_search_trace(ref_env, Direction.FWD)
-    entries = backtrack_entries(fwd)
-    assert entries[0] == ((3, 2), Action.UP)
-    assert entries[-1] == ((0, 0), None)
-    assert [p for p, _ in entries] == list(reversed(fwd.states))
-
-    bwd = build_search_trace(ref_env, Direction.BWD)
-    entries = backtrack_entries(bwd)
-    assert entries[0] == ((0, 0), Action.RIGHT)
-    assert entries[-1] == ((3, 2), None)
-    assert [p for p, _ in entries] == list(bwd.states)
+    states = ["(0, 0)", "(1, 0)", "(2, 0)", "(2, 1)", "(3, 1)", "(3, 2)"]
+    moves = ["right", "right", "up", "right", "up"]
+    # forward: goal to start, each state with the move that reached it
+    fwd, _ = render_parts(ref_env, CotVariant.from_name("fwd-steps-bt"))
+    walk = fwd.split("\nBacktrack:\n")[1].split("\n")
+    assert walk[:2] == ["(3, 2)", "up"] and walk[-1] == "(0, 0)"
+    assert walk[::2] == states[::-1] and walk[1::2] == moves[::-1]
+    # backward: start to goal, each state with the move to take next
+    bwd, _ = render_parts(ref_env, CotVariant.from_name("bwd-steps-bt"))
+    walk = bwd.split("\nBacktrack:\n")[1].split("\n")
+    assert walk[:2] == ["(0, 0)", "right"] and walk[-1] == "(3, 2)"
+    assert walk[::2] == states and walk[1::2] == moves
 
 
 def test_render_parts_silent_variant(ref_env):
@@ -184,21 +190,20 @@ def test_parse_round_trips_on_random_envs():
 
 def test_parse_backward_thought_without_plan_recovers_plan(ref_env):
     variant = CotVariant.from_name("bwd-full-bt")
-    trace = build_search_trace(ref_env, Direction.BWD)
-    thought = serialize_thought(trace, variant)
+    thought, _ = render_parts(ref_env, variant)
     parsed_thought, actions = parse_plan(thought)
     assert parsed_thought == thought
-    assert tuple(actions) == trace.plan
+    assert actions == [a for a, _ in optimal_path(ref_env)]
 
 
 def test_parse_forward_thought_without_plan_reverses_moves(ref_env):
     variant = CotVariant.from_name("fwd-full-bt")
-    trace = build_search_trace(ref_env, Direction.FWD)
+    plan = [a for a, _ in optimal_path(ref_env)]
     for strict in (False, True):
-        thought = serialize_thought(trace, variant, strict)
+        thought, _ = render_parts(ref_env, variant, strict)
         _, actions = parse_plan(thought)
         # arrival moves read goal-to-start, so the recovered plan is reversed
-        assert tuple(actions) == tuple(reversed(trace.plan))
+        assert actions == plan[::-1]
 
 
 def test_parse_single_move_plan_after_backtrack():
@@ -245,8 +250,8 @@ def test_cut_token_only_in_marked_variants(ref_env):
 
 
 def test_kept_variant_lists_only_kept_neighbors(ref_env):
-    trace = build_search_trace(ref_env, Direction.FWD)
-    kept_text = serialize_thought(trace, CotVariant.from_name("fwd-kept-nobt"))
+    trace = search_trace(ref_env, "fwd")
+    kept_text, _ = render_parts(ref_env, CotVariant.from_name("fwd-kept-nobt"))
     kept_positions = [
         rec.neighbor
         for layer in trace.layers

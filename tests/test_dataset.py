@@ -6,6 +6,7 @@ import tempfile
 import threading
 import time
 from dataclasses import replace
+from functools import cached_property
 from pathlib import Path
 
 import pytest
@@ -19,6 +20,7 @@ from gridmind.dataset import (
     DatasetRecord,
     build_record,
     dataset_files,
+    record_for,
     generate_dataset,
     load_records,
     load_specs,
@@ -153,6 +155,37 @@ def test_verify_flags_corruption(tmp_path, mutate, needle):
     report = verify_dataset(path)
     assert not report.ok
     assert any(needle in str(v) for v in report.violations), report.violations
+
+
+@pytest.mark.parametrize("cell", [[8.0, 1], [8.5, 1], [True, 1]])
+def test_verify_flags_a_coordinate_that_is_not_an_int(tmp_path, cell):
+    corridor = GridSpec(min_x=0, min_y=0, size_x=10, size_y=2, start=(0, 0), goal=(9, 0),
+                        walls=frozenset((x, 1) for x in range(10)))
+    obj = record_for(corridor, 0, "train", FWD_FULL_BT).to_json_dict()
+    walls = obj["spec"]["walls"]
+    walls[walls.index([int(cell[0]), 1])] = cell
+    path = tmp_path / "data.jsonl"
+    path.write_text(json.dumps(obj) + "\n")
+    assert [v.message for v in verify_dataset(path).violations] == [
+        f"bad environment: wall ({cell[0]!r}, 1) has a coordinate that is not an int"
+    ]
+
+
+def test_complexity_is_computed_once_per_generated_record(tmp_path, monkeypatch):
+    compute = GridSpec._complexity.func
+    calls = []
+
+    def counted(spec):
+        calls.append(spec)
+        return compute(spec)
+
+    cached = cached_property(counted)
+    cached.__set_name__(GridSpec, "_complexity")
+    monkeypatch.setattr(GridSpec, "_complexity", cached)
+    # the complexity floor check and the record share one computation; no
+    # board of these 20 is redrawn, so every computation belongs to a record
+    generate_dataset(tmp_path, "test", FWD_FULL_BT, 20, seed=0)
+    assert len(calls) == 20
 
 
 def test_verify_flags_wrong_key_order(tmp_path):

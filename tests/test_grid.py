@@ -126,19 +126,32 @@ def test_count_simple_paths_limit():
 
 @st.composite
 def small_boards(draw):
-    """Boards up to 4x4 with random walls, so cycles and sealed goals occur."""
-    w, h = draw(st.integers(2, 4)), draw(st.integers(2, 4))
-    cells = [(x, y) for x in range(w) for y in range(h)]
+    """Boards up to 5x5 anywhere on [0, 19]^2 with random walls and pits, so
+    cycles and sealed goals occur."""
+    w, h = draw(st.integers(2, 5)), draw(st.integers(2, 5))
+    ox, oy = draw(st.integers(0, 20 - w)), draw(st.integers(0, 20 - h))
+    cells = [(x, y) for x in range(ox, ox + w) for y in range(oy, oy + h)]
     start, goal = draw(st.lists(st.sampled_from(cells), min_size=2, max_size=2, unique=True))
-    walls = draw(st.sets(st.sampled_from([c for c in cells if c not in (start, goal)])))
-    return GridSpec(min_x=0, min_y=0, size_x=w, size_y=h, start=start, goal=goal,
-                    walls=frozenset(walls))
+    obstacles = draw(st.sets(st.sampled_from([c for c in cells if c not in (start, goal)])))
+    pits = draw(st.sets(st.sampled_from(sorted(obstacles)))) if obstacles else set()
+    return GridSpec(min_x=ox, min_y=oy, size_x=w, size_y=h, start=start, goal=goal,
+                    walls=frozenset(obstacles - pits), pits=frozenset(pits))
 
 
 @settings(max_examples=400, deadline=None)
 @given(small_boards())
 def test_count_simple_paths_matches_the_oracle(spec):
     assert count_simple_paths(spec) == min(len(enumerate_simple_paths(spec, cap=2)), 2)
+
+
+def test_count_simple_paths_ignores_obstacles_off_the_board():
+    # an off-board cell must not mark a board cell, even through a negative index
+    spec = GridSpec(min_x=0, min_y=0, size_x=3, size_y=3, start=(0, 0), goal=(2, 2),
+                    walls=frozenset({(5, 1), (1, -3)}))
+    assert count_simple_paths(spec) == min(len(enumerate_simple_paths(spec, cap=2)), 2) == 2
+    corridor = GridSpec(min_x=0, min_y=0, size_x=3, size_y=2, start=(0, 0), goal=(2, 0),
+                        walls=frozenset({(0, 1), (1, 1), (2, 1), (4, 0), (-1, 0)}))
+    assert count_simple_paths(corridor) == len(enumerate_simple_paths(corridor)) == 1
 
 
 def test_spec_json_round_trip(ref_env):
