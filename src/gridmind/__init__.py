@@ -37,7 +37,6 @@ from .harness import (
     Agent,
     AgentTransportError,
     BatchReport,
-    ConstantAgent,
     DfsAgent,
     EpisodeAborted,
     EpisodeResult,
@@ -46,11 +45,9 @@ from .harness import (
     PlansAgent,
     RandomValidAgent,
     evaluate_batch,
-    evaluate_optimal,
     load_plans,
     plans_agent_factory,
     run_episode,
-    run_reachable,
     scripted_agent_factory,
 )
 from .prompts import (
@@ -61,6 +58,6 @@ from .prompts import (
     render_instruction,
     render_observation,
 )
-from .stats import StatsReport, complexity, dataset_stats, export_heatmap
+from .stats import StatsReport, complexity, export_heatmap
 
 __version__ = "0.1.0"

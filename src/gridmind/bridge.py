@@ -45,6 +45,11 @@ class AgentEndpoint:
 
     @classmethod
     def parse(cls, text: str, timeout: float = DEFAULT_TIMEOUT) -> "AgentEndpoint":
+        # a stdio turn waits 2 * timeout, and the wait must fit a thread lock
+        limit = threading.TIMEOUT_MAX / 2
+        if not 0 < timeout <= limit:
+            raise ValueError(f"timeout must be a positive number of seconds up to {limit:.0f}, "
+                             f"got {timeout}")
         if text.startswith(("http://", "https://")):
             return cls(HTTP, text, timeout)
         if text.startswith("stdio:"):

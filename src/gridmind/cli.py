@@ -18,6 +18,7 @@ from .dataset import (
     SPLITS,
     generate_dataset,
     load_specs,
+    sidecar_text,
     split_params,
     stats_from_files,
     verify_dataset,
@@ -155,7 +156,7 @@ def cmd_stats(args) -> int:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         stats_path = out / "stats.json"
-        stats_path.write_text(json.dumps(summary, indent=2) + "\n")
+        stats_path.write_text(sidecar_text(report))
         print(stats_path)
         for metric in args.heatmap or []:
             for path in export_heatmap(report, metric, out):

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cache
 
-from .grid import ACTIONS, GLOBAL_MAX_COORD, Action, GridSpec, Position, optimal_path
+from .grid import ACTION_BY_WORD, ACTIONS, GLOBAL_MAX_COORD, Action, GridSpec, Position, optimal_path
 from .prompts import POSITION_RE, format_position, parse_position
 
 CUT_TOKEN = "cut"
@@ -210,13 +210,12 @@ class PlanParseError(ValueError):
 
 _STEP_RE = re.compile(r"^Step \d+:$")
 _MERGED_RE = re.compile(r"^\((-?\d+), (-?\d+)\)(up|down|left|right)$")
-_WORDS = {a.value: a for a in ACTIONS}
 
 
 def _actions_or_raise(lines: list[str], offset: int) -> list[Action]:
     out = []
     for k, line in enumerate(lines):
-        action = _WORDS.get(line)
+        action = ACTION_BY_WORD.get(line)
         if action is None:
             raise PlanParseError(f"expected a move word, got {line!r}", offset + k + 1)
         out.append(action)
@@ -264,7 +263,7 @@ def _parse_after_backtrack(lines: list[str], bt_idx: int) -> tuple[str, list[Act
     while i < len(tail):
         merged = _MERGED_RE.match(tail[i])
         if merged:
-            interleaved.append(_WORDS[merged.group(3)])
+            interleaved.append(ACTION_BY_WORD[merged.group(3)])
             i += 1
             continue
         if parse_position(tail[i]) is None:
@@ -275,11 +274,11 @@ def _parse_after_backtrack(lines: list[str], bt_idx: int) -> tuple[str, list[Act
                 raise PlanParseError("backtrack contains no moves", base + i + 1)
             return "\n".join(lines), interleaved
         nxt = tail[i + 1]
-        if nxt not in _WORDS:
+        if nxt not in ACTION_BY_WORD:
             raise PlanParseError(f"expected a move word, got {nxt!r}", base + i + 2)
         after = tail[i + 2] if i + 2 < len(tail) else None
         if after is not None and (POSITION_RE.match(after) or _MERGED_RE.match(after)):
-            interleaved.append(_WORDS[nxt])
+            interleaved.append(ACTION_BY_WORD[nxt])
             i += 2
             continue
         # terminal state: everything after it is the plan
@@ -296,7 +295,7 @@ def _parse_after_steps(lines: list[str], step_idx: int) -> tuple[str, list[Actio
         if i + 1 >= len(tail):
             raise PlanParseError("state without a label at end of reply", base + i + 1)
         label = tail[i + 1]
-        if label not in _WORDS and label != CUT_TOKEN:
+        if label not in ACTION_BY_WORD and label != CUT_TOKEN:
             raise PlanParseError(f"expected a move word or {CUT_TOKEN!r}, got {label!r}", base + i + 2)
         i += 2
     if i >= len(tail):

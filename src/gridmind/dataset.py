@@ -4,17 +4,18 @@ Each record couples one generated environment with the four opening turns
 and the target reply (thought plus plan) for one serialization variant,
 its complexity, and length bookkeeping. Record i is a pure function of
 (root seed, i), so shards can be produced independently and reruns are
-byte-identical. ``verify_dataset`` re-derives everything a record claims
-and reports each violation with its file and line.
+byte-identical. ``verify_dataset`` re-derives everything a record claims,
+and every stats sidecar, and reports each violation with its file and line.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
+from itertools import zip_longest
 from pathlib import Path
 
-from .cogmap import CotVariant, join_reply, render_parts
+from .cogmap import VARIANT_NAMES, CotVariant, join_reply, render_parts
 from .generate import GenParams, TEST_PARAMS, TRAIN_PARAMS, generate_indexed
 from .grid import GridSpec, count_simple_paths, optimal_path
 from .prompts import GPT, PromptText, render_instruction
@@ -69,12 +70,11 @@ class DatasetRecord:
             _check_keys("record", d, RECORD_KEYS)
             _check_keys("spec", d["spec"], SPEC_KEYS)
             _check_keys("lengths", d["lengths"], LENGTH_KEYS)
+            record_metrics(d)  # int sizes and lengths, a finite float complexity
             if d["split"] not in SPLITS:
                 raise ValueError(f"unknown split {d['split']!r}")
             if type(d["index"]) is not int:
                 raise ValueError(f"index {d['index']!r} is not an int")
-            if type(d["complexity"]) is not float:
-                raise ValueError(f"complexity {d['complexity']!r} is not a float")
             conversation = [PromptText(m["role"], m["text"]) for m in d["conversation"]]
             if [t.role for t in conversation] != ["human", "gpt", "human", "gpt"]:
                 raise ValueError("conversation must be human/gpt/human/gpt")
@@ -139,6 +139,34 @@ def shard_name(split: str, variant: CotVariant, shard: int, shards: int) -> str:
     return f"{split}-{variant.name}-{shard:04d}-of-{shards:04d}.jsonl"
 
 
+def sidecar_name(split: str, variant_name: str) -> str:
+    return f"{split}-{variant_name}-stats.json"
+
+
+SIDECAR_NAMES = frozenset(sidecar_name(s, v) for s in SPLITS for v in VARIANT_NAMES)
+
+
+def sidecar_text(stats: StatsReport) -> str:
+    """The stats sidecar ``generate`` writes and ``verify`` expects, byte for byte.
+
+    These are the bytes of ``json.dumps(stats.to_json_dict(), indent=2) + "\\n"``,
+    made in under half the time of json's pure-Python indenting encoder;
+    ``verify`` renders one per sidecar it checks.
+    """
+    return _indented(stats.to_json_dict(), "\n") + "\n"
+
+
+def _indented(obj: dict, pad: str) -> str:
+    """``json.dumps(obj, indent=2)`` for nested dicts of plain-text keys and
+    finite numbers or None, so ``repr`` spells each number as json does."""
+    if not obj:
+        return "{}"
+    inner = pad + "  "
+    items = (f'"{k}": {_indented(v, inner) if type(v) is dict else "null" if v is None else repr(v)}'
+             for k, v in obj.items())
+    return "{" + inner + ("," + inner).join(items) + pad + "}"
+
+
 def generate_dataset(
     out_dir: str | Path,
     split: str,
@@ -164,8 +192,8 @@ def generate_dataset(
                 fh.write(record.to_json_line() + "\n")
                 report.add(*record_metrics(record))
         paths.append(path)
-    sidecar = out / f"{split}-{variant.name}-stats.json"
-    sidecar.write_text(json.dumps(report.to_json_dict(), indent=2) + "\n")
+    sidecar = out / sidecar_name(split, variant.name)
+    sidecar.write_text(sidecar_text(report))
     paths.append(sidecar)
     return paths
 
@@ -254,7 +282,12 @@ class VerifyReport:
 
 
 def _check_record(obj, flag) -> DatasetRecord | None:
-    """Flag each claim of a line that does not hold; the decoded record or None."""
+    """Flag each claim of a line that does not hold.
+
+    Returns the record ``generate`` writes for the line's environment, or the
+    decoded record when the environment cannot be rebuilt, or None when the
+    line does not decode.
+    """
     try:
         record = DatasetRecord.from_json_dict(obj)
     except ValueError as exc:
@@ -281,13 +314,41 @@ def _check_record(obj, flag) -> DatasetRecord | None:
         flag(f"lengths {record.lengths} != {expected.lengths}")
     if not abs(record.complexity - expected.complexity) <= 1e-9:
         flag(f"complexity {record.complexity} != recomputed {expected.complexity}")
-    return record
+    return expected
+
+
+def _sidecar_violation(path: Path, stats: StatsReport) -> Violation | None:
+    """The first line where a sidecar departs from the text ``generate`` writes for ``stats``."""
+    try:
+        found = path.read_bytes().decode(errors="replace")  # no newline translation
+    except OSError as exc:
+        return Violation(str(path), 1, f"cannot read stats sidecar: {exc.strerror}")
+    if not stats.cells:
+        return Violation(str(path), 1, "stats sidecar has no records in its group")
+    expected = sidecar_text(stats)
+    if found == expected:
+        return None
+    pairs = zip_longest(found.split("\n"), expected.split("\n"))
+    for line, (got, want) in enumerate(pairs, start=1):
+        if got != want:
+            return Violation(str(path), line, f"stats sidecar expected {want!r}, found {got!r}")
+    return None
 
 
 def verify_dataset(target: str | Path) -> VerifyReport:
-    """Re-derive every claim in every record; shard order does not matter."""
+    """Re-derive every claim in every record; shard order does not matter.
+
+    In a directory, each ``{split}-{variant}-stats.json`` sidecar must be the
+    text ``generate`` writes for the records of its split and variant, as
+    ``_check_record`` rebuilds them, added in file order (index order for
+    generated shards). So a record's wrong metric is flagged at its line only.
+    """
     report = VerifyReport()
     seen: dict[tuple[str, str, int], str] = {}
+    sidecars = []
+    if Path(target).is_dir():
+        sidecars = sorted(p for p in Path(target).glob("*-stats.json") if p.name in SIDECAR_NAMES)
+    groups = {sidecar.name: StatsReport() for sidecar in sidecars}  # only groups with a sidecar
     for path in dataset_files(target):
         for line_no, obj, err in iter_json_lines(path):
             report.records += 1
@@ -299,12 +360,20 @@ def verify_dataset(target: str | Path) -> VerifyReport:
                 flag(f"bad JSON: {err}")
                 continue
             record = _check_record(obj, flag)
-            if record is not None:
-                key = (record.split, record.variant.name, record.index)
-                if key in seen:
-                    flag(f"duplicate record {key} (also in {seen[key]})")
-                else:
-                    seen[key] = f"{path}:{line_no}"
+            if record is None:
+                continue
+            key = (record.split, record.variant.name, record.index)
+            if key in seen:
+                flag(f"duplicate record {key} (also in {seen[key]})")
+            else:
+                seen[key] = f"{path}:{line_no}"
+            stats = groups.get(sidecar_name(record.split, record.variant.name))
+            if stats is not None:
+                stats.add(*record_metrics(record))
+    for sidecar in sidecars:
+        violation = _sidecar_violation(sidecar, groups[sidecar.name])
+        if violation is not None:
+            report.violations.append(violation)
     return report
 
 

@@ -66,10 +66,6 @@ def derive_seed(root_seed: int, index: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def record_rng(root_seed: int, index: int) -> np.random.Generator:
-    return np.random.default_rng(derive_seed(root_seed, index))
-
-
 def _neighbours(cell: int, w: int, h: int) -> list[int]:
     """In-board neighbours of int cell ``x * h + y``: up, down, left, right."""
     x, y = divmod(cell, h)

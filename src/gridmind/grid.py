@@ -9,7 +9,7 @@ path from start to goal over the free cells.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from itertools import chain
@@ -39,11 +39,6 @@ class Action(Enum):
         dx, dy = _DELTAS[self]
         return (pos[0] + dx, pos[1] + dy)
 
-    @classmethod
-    def from_word(cls, word: str) -> "Action":
-        """Map 'up'/'down'/'left'/'right' to an Action. Raises KeyError otherwise."""
-        return _BY_WORD[word]
-
 
 ACTIONS: tuple[Action, ...] = (Action.UP, Action.DOWN, Action.LEFT, Action.RIGHT)
 
@@ -61,7 +56,8 @@ _INVERSES: dict[Action, Action] = {
     Action.RIGHT: Action.LEFT,
 }
 
-_BY_WORD: dict[str, Action] = {a.value: a for a in ACTIONS}
+# each move word to its Action: the one vocabulary of plans and agent replies
+ACTION_BY_WORD: dict[str, Action] = {a.value: a for a in ACTIONS}
 
 # (action, dx, dy) in canonical order, for scans that avoid per-probe calls
 _STEPS: tuple[tuple[Action, int, int], ...] = tuple((a, *_DELTAS[a]) for a in ACTIONS)
@@ -101,10 +97,6 @@ class GridSpec:
 
     def in_bounds(self, pos: Position) -> bool:
         return self.min_x <= pos[0] <= self.max_x and self.min_y <= pos[1] <= self.max_y
-
-    def is_free(self, pos: Position) -> bool:
-        """In bounds and neither wall nor pit. The goal is a free cell."""
-        return self.in_bounds(pos) and pos not in self.walls and pos not in self.pits
 
     @cached_property
     def _solution(self) -> tuple[tuple[Action, Position], ...] | None:
@@ -228,27 +220,6 @@ class GridSpec:
             pits=frozenset((x, y) for x, y in d["pits"]),
             seed=d.get("seed"),
         )
-
-    @classmethod
-    def from_json(cls, text: str) -> "GridSpec":
-        return cls.from_json_dict(json.loads(text))
-
-
-def translate(spec: GridSpec, dx: int, dy: int) -> GridSpec:
-    """The same environment shifted by (dx, dy)."""
-
-    def mv(p: Position) -> Position:
-        return (p[0] + dx, p[1] + dy)
-
-    return replace(
-        spec,
-        min_x=spec.min_x + dx,
-        min_y=spec.min_y + dy,
-        start=mv(spec.start),
-        goal=mv(spec.goal),
-        walls=frozenset(mv(c) for c in spec.walls),
-        pits=frozenset(mv(c) for c in spec.pits),
-    )
 
 
 class MoveKind(Enum):

@@ -162,33 +162,6 @@ class PlansAgent(Agent):
         return self._queue.pop(0) if self._queue else ""
 
 
-class ConstantAgent(Agent):
-    """Always the same reply. Useful for probing outcome handling."""
-
-    def __init__(self, text: str):
-        self._text = text
-
-    def respond(self, transcript: list[PromptText]) -> str:
-        return self._text
-
-
-def evaluate_optimal(spec: GridSpec, reply: str) -> EpisodeResult:
-    """Score one single-turn reply against the unique shortest path."""
-    return _score_optimal(spec, render_instruction(spec), reply)
-
-
-def _score_optimal(spec: GridSpec, opening: list[PromptText], reply: str) -> EpisodeResult:
-    """``evaluate_optimal`` for a reply to the already rendered ``opening``."""
-    plan = [a for a, _ in optimal_path(spec)]
-    transcript = opening + [PromptText(GPT, reply)]
-    try:
-        _, actions = parse_plan(reply)
-    except PlanParseError:
-        return EpisodeResult(Outcome.FAIL, 0, len(plan), transcript)
-    outcome = Outcome.SUCCESS if actions == plan else Outcome.FAIL
-    return EpisodeResult(outcome, len(actions), len(plan), transcript)
-
-
 def _ask(agent: Agent, transcript: list[PromptText]) -> str:
     """The agent's reply; a transport failure aborts the episode."""
     try:
@@ -244,8 +217,16 @@ def run_episode(
     outcome = "aborted"
     try:
         if mode == OPTIMAL:
-            opening = render_instruction(spec)
-            result = _score_optimal(spec, opening, _ask(agent, list(opening)))
+            transcript = render_instruction(spec)
+            reply = _ask(agent, list(transcript))
+            transcript.append(PromptText(GPT, reply))
+            plan = [a for a, _ in optimal_path(spec)]
+            try:
+                _, actions = parse_plan(reply)
+            except PlanParseError:
+                actions = []  # scored as a fail of 0 steps: a plan is never empty
+            scored = Outcome.SUCCESS if actions == plan else Outcome.FAIL
+            result = EpisodeResult(scored, len(actions), len(plan), transcript)
         else:
             result = _play_reachable(spec, agent, max_steps)
         outcome = result.outcome.value
@@ -255,17 +236,6 @@ def run_episode(
             agent.close(outcome)
         except Exception:
             pass
-
-
-def run_reachable(
-    spec: GridSpec, agent: Agent, max_steps: int = DEFAULT_MAX_STEPS
-) -> EpisodeResult:
-    """Drive one multi-turn episode to an outcome.
-
-    The first reply may carry thought text; only its final non-empty line is
-    read as the move. Later replies must be a bare move word.
-    """
-    return run_episode(spec, agent, REACHABLE, max_steps)
 
 
 SCRIPTED_AGENTS = ("oracle", "random", "dfs")

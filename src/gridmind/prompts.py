@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .grid import Action, GridSpec, Position, valid_actions
+from .grid import ACTION_BY_WORD, Action, GridSpec, Position, valid_actions
 
 HUMAN = "human"
 GPT = "gpt"
@@ -113,10 +113,7 @@ def parse_action(text: str) -> Action | None:
     Matching is exact and case sensitive: 'Up', 'UP' and everything else are
     invalid on purpose, so sloppy agent output is scored as such.
     """
-    try:
-        return Action.from_word(text.strip())
-    except KeyError:
-        return None
+    return ACTION_BY_WORD.get(text.strip())
 
 
 def parse_observation(text: str) -> tuple[Position, list[tuple[Action, Position]]]:

@@ -4,8 +4,11 @@ Complexity measures how much choice the solution path offers: the sum over
 its states (goal excluded) of the natural log of the number of valid moves.
 A corridor contributes nothing; every binary fork adds ln 2 (about 0.69).
 
-Aggregates are grouped per (size_x, size_y) cell and merge associatively, so
-shards can be reduced in any order. Heatmaps are written as a CSV matrix and
+Aggregates are grouped per (size_x, size_y) cell. Their counts, minima and
+maxima merge exactly in any order, but a float total does not: float
+addition is not associative, so its last bits depend on the order of the
+additions. Records are therefore added in index order, which keeps the stats
+sidecar byte-identical across reruns. Heatmaps are written as a CSV matrix and
 a standalone SVG with the training size range outlined in red.
 """
 
@@ -39,7 +42,11 @@ def complexity(spec: GridSpec) -> float:
 
 @dataclass
 class MetricAgg:
-    """Count, total, min and max of one metric. Merges associatively."""
+    """Count, total, min and max of one metric.
+
+    ``merge`` is exact for count, min and max; the float ``total`` of a merge
+    can differ in its last bits from adding the same values one by one.
+    """
 
     count: int = 0
     total: float = 0.0
@@ -74,14 +81,6 @@ class MetricAgg:
             "max": self.vmax if self.count else None,
             "total": self.total,
         }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "MetricAgg":
-        agg = cls(count=d["count"], total=d["total"])
-        if agg.count:
-            agg.vmin = d["min"]
-            agg.vmax = d["max"]
-        return agg
 
 
 @dataclass
@@ -131,17 +130,14 @@ class StatsReport:
             },
         }
 
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "StatsReport":
-        report = cls()
-        for key, metrics in d["cells"].items():
-            x, y = (int(v) for v in key.split("x"))
-            report.cells[(x, y)] = {m: MetricAgg.from_dict(a) for m, a in metrics.items()}
-        return report
-
 
 def record_metrics(record) -> tuple[int, int, dict[str, float]]:
-    """Extract (size_x, size_y, metric values) from a record object or dict."""
+    """Extract (size_x, size_y, metric values) from a record object or dict.
+
+    The sizes and lengths must be exactly ints and the complexity a finite
+    float; anything else raises ValueError. The record decoder relies on
+    this check too, so it is the one place that holds the rule.
+    """
     try:
         if isinstance(record, dict):
             spec = record["spec"]
@@ -152,22 +148,18 @@ def record_metrics(record) -> tuple[int, int, dict[str, float]]:
             size_x, size_y = record.spec.size_x, record.spec.size_y
             comp = record.complexity
             lengths = record.lengths
-        values = {"complexity": float(comp)}
+        if type(comp) is not float or not math.isfinite(comp):
+            raise TypeError(f"complexity {comp!r} is not a finite float")
+        values = {"complexity": comp}
         for metric in METRICS[1:]:
-            values[metric] = float(lengths[metric])
+            if type(n := lengths[metric]) is not int:
+                raise TypeError(f"lengths hold a value that is not an int: {metric}={n!r}")
+            values[metric] = float(n)
         if type(size_x) is not int or type(size_y) is not int:
             raise TypeError(f"size {size_x!r}x{size_y!r} is not a pair of ints")
     except (KeyError, AttributeError, TypeError, OverflowError) as exc:
         raise ValueError(f"record does not match the dataset schema: {exc}") from exc
     return size_x, size_y, values
-
-
-def dataset_stats(records) -> StatsReport:
-    """Aggregate an iterable of dataset records (objects or parsed JSON dicts)."""
-    report = StatsReport()
-    for record in records:
-        report.add(*record_metrics(record))
-    return report
 
 
 TRAIN_SIZE_RANGE = (2, 10)

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from gridmind import GridSpec
+from gridmind.harness import Agent
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -30,6 +32,33 @@ def example_env() -> GridSpec:
         walls=frozenset({(1, 1), (2, 2)}),
         pits=frozenset({(3, 0)}),
     )
+
+
+def translate(spec: GridSpec, dx: int, dy: int) -> GridSpec:
+    """The same environment shifted by (dx, dy)."""
+
+    def mv(p):
+        return (p[0] + dx, p[1] + dy)
+
+    return replace(
+        spec,
+        min_x=spec.min_x + dx,
+        min_y=spec.min_y + dy,
+        start=mv(spec.start),
+        goal=mv(spec.goal),
+        walls=frozenset(mv(c) for c in spec.walls),
+        pits=frozenset(mv(c) for c in spec.pits),
+    )
+
+
+class ConstantAgent(Agent):
+    """Always the same reply, for probing outcome handling."""
+
+    def __init__(self, text: str):
+        self._text = text
+
+    def respond(self, transcript):
+        return self._text
 
 
 @pytest.fixture

@@ -19,12 +19,12 @@ import pytest
 from gridmind import (
     DfsAgent,
     Outcome,
+    PlansAgent,
     complexity,
     evaluate_batch,
-    evaluate_optimal,
     load_plans,
     plans_agent_factory,
-    run_reachable,
+    run_episode,
     scripted_agent_factory,
 )
 from gridmind.cogmap import ALL_VARIANTS, CotVariant, Direction, render_parts
@@ -168,12 +168,13 @@ def test_acceptance_5_outcome_classification(ref_env):
             (Script(["sideways"]), Outcome.INVALID, 0),
         ]
         for agent, expected, steps in fixtures:
-            result = run_reachable(ref_env, agent)
+            result = run_episode(ref_env, agent, REACHABLE)
             assert result.outcome is expected, f"wanted {expected}, got {result.outcome}"
             assert result.steps == steps
 
-        assert evaluate_optimal(ref_env, "right\nright\nup\nright\nup").outcome is Outcome.SUCCESS
-        assert evaluate_optimal(ref_env, "up\nright\nright\nright\nup").outcome is Outcome.FAIL
+        for reply, expected in (("right\nright\nup\nright\nup", Outcome.SUCCESS),
+                                ("up\nright\nright\nright\nup", Outcome.FAIL)):
+            assert run_episode(ref_env, PlansAgent(reply, OPTIMAL), OPTIMAL).outcome is expected
 
         # outcome counts partition every batch, aborted episodes aside
         class DieAt2:
@@ -237,7 +238,7 @@ def test_acceptance_7_determinism(ref_env, tmp_path):
 
         transcripts = []
         for _ in range(2):
-            result = run_reachable(ref_env, DfsAgent(np.random.default_rng(1)))
+            result = run_episode(ref_env, DfsAgent(np.random.default_rng(1)), REACHABLE)
             transcripts.append([(t.role, t.text) for t in result.transcript])
         assert transcripts[0] == transcripts[1]
 

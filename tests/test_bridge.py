@@ -7,7 +7,7 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
-from gridmind import EpisodeAborted, Outcome, evaluate_batch, run_reachable
+from gridmind import EpisodeAborted, Outcome, evaluate_batch, run_episode
 from gridmind.bridge import (
     HTTP,
     STDIO,
@@ -84,19 +84,19 @@ def test_stdio_malformed_reply_aborts(ref_env, tmp_path):
         "sys.stdin.read()\n"
     )
     with pytest.raises(EpisodeAborted):
-        run_reachable(ref_env, StdioBridgeAgent(f"python3 {script}", "s-1"))
+        run_episode(ref_env, StdioBridgeAgent(f"python3 {script}", "s-1"), REACHABLE)
 
 
 def test_stdio_agent_death_aborts(ref_env):
     agent = StdioBridgeAgent("python3 -c 'pass'", "s-2", timeout=5.0)
     with pytest.raises(EpisodeAborted):
-        run_reachable(ref_env, agent)
+        run_episode(ref_env, agent, REACHABLE)
 
 
 def test_stdio_spawn_failure_aborts(ref_env):
     agent = StdioBridgeAgent("/no/such/binary --x", "s-3")
     with pytest.raises(EpisodeAborted):
-        run_reachable(ref_env, agent)
+        run_episode(ref_env, agent, REACHABLE)
 
 
 def test_stdio_slow_first_reply_keeps_turns_paired(ref_env, tmp_path):
@@ -107,7 +107,7 @@ def test_stdio_slow_first_reply_keeps_turns_paired(ref_env, tmp_path):
     log = tmp_path / "requests.jsonl"
     agent = StdioBridgeAgent(f"python3 {script} {log}", "s-4", timeout=1.0)
 
-    result = run_reachable(ref_env, agent)
+    result = run_episode(ref_env, agent, REACHABLE)
     assert result.outcome is Outcome.SUCCESS
     assert result.steps == len(REF_PLAN)
     requests = [json.loads(line) for line in log.read_text().splitlines()]
@@ -185,7 +185,7 @@ def test_http_malformed_reply_aborts(ref_env):
     server = _Server(lambda obj: "surprise!")
     try:
         with pytest.raises(EpisodeAborted):
-            run_reachable(ref_env, HttpBridgeAgent(server.url, "s-6"))
+            run_episode(ref_env, HttpBridgeAgent(server.url, "s-6"), REACHABLE)
     finally:
         server.stop()
 

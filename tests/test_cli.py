@@ -109,6 +109,9 @@ def test_stats_command(tmp_path, capsys):
     assert "complexity: mean=" in out
     stats = json.loads((out_dir / "stats.json").read_text())
     assert stats["count"] == 6
+    # one writer: stats.json has the bytes of the sidecar generate wrote
+    sidecar = tmp_path / "data" / "train-fwd-full-bt-stats.json"
+    assert (out_dir / "stats.json").read_bytes() == sidecar.read_bytes()
     for name in ("complexity.csv", "complexity.svg", "plan_chars.csv", "plan_chars.svg"):
         assert (out_dir / name).exists()
 
@@ -235,6 +238,34 @@ def test_stats_names_the_line_of_a_bad_record(tmp_path, capsys):
     shard.write_text("\n".join(lines) + "\n")
     with pytest.raises(SystemExit, match=f"^{re.escape(str(shard))}:1: .*'spec'"):
         run_cli(["stats", str(shard)], capsys)
+
+
+@pytest.mark.parametrize("field,value", [("complexity", "nan"), ("complexity", float("nan")),
+                                         ("complexity", float("inf")), ("plan_chars", True)])
+def test_stats_names_the_line_of_a_metric_that_is_not_a_number(tmp_path, capsys, field, value):
+    run_cli(gen_args(tmp_path / "data", count=2), capsys)
+    shard = tmp_path / "data" / "train-fwd-full-bt-0000-of-0001.jsonl"
+    lines = shard.read_text().splitlines()
+    obj = json.loads(lines[1])
+    (obj if field == "complexity" else obj["lengths"])[field] = value
+    lines[1] = json.dumps(obj)
+    shard.write_text("\n".join(lines) + "\n")
+    with pytest.raises(SystemExit, match=f"^{re.escape(str(shard))}:2: .*{field}"):
+        run_cli(["stats", str(shard)], capsys)
+
+
+@pytest.mark.parametrize("timeout", ["0", "-1", "nan", "inf"])
+def test_eval_rejects_a_bad_timeout_before_any_episode(tmp_path, capsys, monkeypatch, timeout):
+    import gridmind.cli as cli
+
+    run_cli(gen_args(tmp_path / "data", count=1, variant="bwd-none"), capsys)
+    shard = tmp_path / "data" / "train-bwd-none-0000-of-0001.jsonl"
+    entered = []
+    monkeypatch.setattr(cli, "evaluate_batch", lambda *a, **k: entered.append(a))
+    with pytest.raises(SystemExit, match="timeout must be a positive number"):
+        run_cli(["eval", "--test-file", str(shard), "--agent", "bridge:stdio:python3 -c pass",
+                 "--mode", "reachable", "--timeout", timeout], capsys)
+    assert entered == []
 
 
 def test_verify_reports_a_line_that_is_not_a_record(tmp_path, capsys):

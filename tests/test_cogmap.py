@@ -18,9 +18,9 @@ from gridmind.cogmap import (
     render_target,
 )
 from gridmind.generate import TEST_PARAMS, TRAIN_PARAMS, generate_indexed
-from gridmind.grid import optimal_path, translate
+from gridmind.grid import optimal_path
 
-from conftest import load_golden
+from conftest import load_golden, translate
 from oracles import DELTAS, search_trace, thought_text
 
 GOLDEN_VARIANTS = [

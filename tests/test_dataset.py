@@ -25,13 +25,13 @@ from gridmind.dataset import (
     load_records,
     load_specs,
     shard_ranges,
+    sidecar_text,
     split_params,
     stats_from_files,
     verify_dataset,
 )
 from gridmind.generate import TRAIN_PARAMS
 from gridmind.grid import GridSpec
-from gridmind.stats import StatsReport
 
 FWD_FULL_BT = CotVariant.from_name("fwd-full-bt")
 BWD_NONE = CotVariant.from_name("bwd-none")
@@ -155,6 +155,21 @@ def test_verify_flags_corruption(tmp_path, mutate, needle):
     report = verify_dataset(path)
     assert not report.ok
     assert any(needle in str(v) for v in report.violations), report.violations
+
+
+@pytest.mark.parametrize("key,cast", [("thought_chars", bool), ("thought_words", float),
+                                      ("plan_words", float)])
+def test_a_length_that_is_not_an_int_is_rejected(tmp_path, key, cast):
+    obj = build_record(split_params("train", seed=2), "train", BWD_NONE, 0).to_json_dict()
+    value = cast(obj["lengths"][key])
+    assert value == obj["lengths"][key]  # equal, but not an int: false, 0.0, 10.0
+    obj["lengths"][key] = value
+    path = tmp_path / "data.jsonl"
+    path.write_text(json.dumps(obj) + "\n")
+    [violation] = verify_dataset(path).violations
+    assert "hold a value that is not an int" in violation.message
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:1: "):
+        load_records(path)
 
 
 @pytest.mark.parametrize("cell", [[8.0, 1], [8.5, 1], [True, 1]])
@@ -342,8 +357,61 @@ def test_stats_sidecar_matches_the_shards(tmp_path):
     sidecar = json.loads(paths[-1].read_text())
     report = stats_from_files(tmp_path)
     assert report.to_json_dict() == sidecar
-    assert StatsReport.from_json_dict(sidecar).to_json_dict() == sidecar
+    assert paths[-1].read_text() == sidecar_text(report)
     assert sidecar["count"] == 8
+
+
+def test_verify_flags_an_edited_sidecar_at_its_first_bad_line(tmp_path):
+    paths = generate_dataset(tmp_path, "train", FWD_FULL_BT, 6, seed=2, shards=2)
+    sidecar = paths[-1]
+    sidecar.write_text(sidecar.read_text().replace('"count": 6,', '"count": 5,', 1))
+    report = verify_dataset(tmp_path)
+    assert report.records == 6
+    assert [str(v) for v in report.violations] == [
+        f"""{sidecar}:2: stats sidecar expected '  "count": 6,', found '  "count": 5,'"""
+    ]
+    # a missing final newline is a difference too
+    sidecar.write_text(sidecar_text(stats_from_files(tmp_path)).rstrip("\n"))
+    assert [(v.file, v.line) for v in verify_dataset(tmp_path).violations] == [
+        (str(sidecar), len(sidecar.read_text().split("\n")) + 1)
+    ]
+
+
+def test_verify_flags_a_sidecar_whose_shards_are_gone(tmp_path):
+    paths = generate_dataset(tmp_path, "train", FWD_FULL_BT, 4, seed=2, shards=2)
+    for shard in paths[:-1]:
+        shard.unlink()
+    generate_dataset(tmp_path, "train", BWD_NONE, 3, seed=2)  # another group, intact
+    report = verify_dataset(tmp_path)
+    assert report.records == 3
+    assert [str(v) for v in report.violations] == [
+        f"{paths[-1]}:1: stats sidecar has no records in its group"
+    ]
+
+
+def test_verify_checks_only_files_named_like_a_group_sidecar(tmp_path):
+    generate_dataset(tmp_path, "train", BWD_NONE, 3, seed=2)
+    (tmp_path / "notes-stats.json").write_text("my notes\n")
+    (tmp_path / "train-no-such-variant-stats.json").mkdir()
+    assert verify_dataset(tmp_path).ok
+
+
+def test_verify_flags_an_unreadable_sidecar(tmp_path):
+    paths = generate_dataset(tmp_path, "train", BWD_NONE, 3, seed=2)
+    paths[-1].unlink()
+    paths[-1].mkdir()
+    assert [str(v) for v in verify_dataset(tmp_path).violations] == [
+        f"{paths[-1]}:1: cannot read stats sidecar: Is a directory"
+    ]
+
+
+def test_verify_checks_sidecars_only_in_a_directory(tmp_path):
+    paths = generate_dataset(tmp_path, "test", BWD_NONE, 5, seed=1, shards=2)
+    paths[-1].write_text("{}\n")
+    assert not verify_dataset(tmp_path).ok
+    assert verify_dataset(paths[0]).ok  # a single file has no sidecar
+    paths[-1].unlink()
+    assert verify_dataset(tmp_path).ok
 
 
 def test_dataset_files_errors(tmp_path):

@@ -3,10 +3,11 @@ from __future__ import annotations
 import hashlib
 import math
 
+import numpy as np
 import pytest
 
 from gridmind import GenParams, GenerationError, generate_environment, generate_indexed
-from gridmind.generate import TEST_PARAMS, TRAIN_PARAMS, derive_seed, record_rng
+from gridmind.generate import TEST_PARAMS, TRAIN_PARAMS, derive_seed
 from gridmind.grid import GLOBAL_MAX_COORD
 from gridmind.stats import complexity
 
@@ -114,7 +115,7 @@ def test_generation_error_when_complexity_is_unreachable():
     # 2x2 rooms with heavy walls leave no room for a branching decision
     params = GenParams(size_min=2, size_max=2, wall_density=0.95, seed=5)
     with pytest.raises(GenerationError):
-        generate_environment(params, record_rng(params.seed, 0))
+        generate_environment(params, np.random.default_rng(derive_seed(params.seed, 0)))
 
 
 def test_params_validation():

@@ -19,9 +19,8 @@ from gridmind import (
     valid_actions,
 )
 from gridmind.generate import TEST_PARAMS, generate_indexed
-from gridmind.grid import translate
 
-from conftest import example_env
+from conftest import example_env, translate
 from oracles import enumerate_simple_paths, shortest_path_length
 
 
@@ -156,7 +155,7 @@ def test_count_simple_paths_ignores_obstacles_off_the_board():
 
 def test_spec_json_round_trip(ref_env):
     text = ref_env.to_json()
-    again = GridSpec.from_json(text)
+    again = GridSpec.from_json_dict(json.loads(text))
     assert again == ref_env
     assert again.to_json() == text
     d = json.loads(text)
@@ -233,4 +232,4 @@ def test_transition_partition_on_random_envs():
                     assert dest == spec.goal and action in allowed
                 else:
                     assert result.kind is MoveKind.MOVED
-                    assert spec.is_free(dest) and action in allowed
+                    assert dest in spec.free_cells() and action in allowed

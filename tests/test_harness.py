@@ -7,17 +7,14 @@ import pytest
 
 from gridmind import (
     BatchReport,
-    ConstantAgent,
     DfsAgent,
     EpisodeAborted,
     Outcome,
     PlansAgent,
     evaluate_batch,
-    evaluate_optimal,
     load_plans,
     plans_agent_factory,
     run_episode,
-    run_reachable,
     scripted_agent_factory,
 )
 from gridmind.generate import TEST_PARAMS, TRAIN_PARAMS, generate_indexed
@@ -25,7 +22,7 @@ from gridmind.grid import optimal_path
 from gridmind.harness import OPTIMAL, REACHABLE, Agent, AgentTransportError, OracleAgent
 from gridmind.prompts import GPT, HUMAN, RULES_TEXT, render_instruction
 
-from conftest import GOLDEN_DIR
+from conftest import GOLDEN_DIR, ConstantAgent
 
 
 class ScriptedMoves(Agent):
@@ -62,7 +59,7 @@ class Recorder(Agent):
 
 
 def test_oracle_reachable_success(ref_env):
-    result = run_reachable(ref_env, OracleAgent(ref_env, REACHABLE))
+    result = run_episode(ref_env, OracleAgent(ref_env, REACHABLE), REACHABLE)
     assert result.outcome is Outcome.SUCCESS
     assert result.steps == result.optimal_len == 5
     roles = [t.role for t in result.transcript]
@@ -79,31 +76,35 @@ def test_oracle_optimal_success(ref_env):
 
 
 def test_constant_up_hits_step_budget(ref_env):
-    result = run_reachable(ref_env, ConstantAgent("up"))
+    result = run_episode(ref_env, ConstantAgent("up"), REACHABLE)
     assert result.outcome is Outcome.MAX_STEP
     assert result.steps == 200
 
 
 def test_unknown_word_is_invalid_without_charging_a_step(ref_env):
     agent = ScriptedMoves(["jump"])
-    result = run_reachable(ref_env, agent)
+    result = run_episode(ref_env, agent, REACHABLE)
     assert result.outcome is Outcome.INVALID
     assert result.steps == 0
     assert agent.closed_with == "invalid"
 
 
 def test_walking_into_the_pit_is_a_deadend(ref_env):
-    result = run_reachable(ref_env, ScriptedMoves(["right", "right", "right"]))
+    result = run_episode(ref_env, ScriptedMoves(["right", "right", "right"]), REACHABLE)
     assert result.outcome is Outcome.DEADEND
     assert result.steps == 3
 
 
 def test_optimal_mode_requires_the_exact_plan(ref_env):
     plan = "right\nright\nup\nright\nup"
-    assert evaluate_optimal(ref_env, plan).outcome is Outcome.SUCCESS
-    assert evaluate_optimal(ref_env, plan + "\nup").outcome is Outcome.FAIL
-    assert evaluate_optimal(ref_env, "up\n" + plan).outcome is Outcome.FAIL
-    garbage = evaluate_optimal(ref_env, "I would rather not")
+
+    def score(reply):
+        return run_episode(ref_env, PlansAgent(reply, OPTIMAL), OPTIMAL)
+
+    assert score(plan).outcome is Outcome.SUCCESS
+    assert score(plan + "\nup").outcome is Outcome.FAIL
+    assert score("up\n" + plan).outcome is Outcome.FAIL
+    garbage = score("I would rather not")
     assert garbage.outcome is Outcome.FAIL
     assert garbage.steps == 0
 
@@ -113,26 +114,26 @@ def test_optimal_mode_reads_thought_replies(ref_env):
 
     for name in ("fwd-full-bt", "bwd-kept-nobt", "fwd-none"):
         reply = render_target(ref_env, CotVariant.from_name(name))
-        assert evaluate_optimal(ref_env, reply).outcome is Outcome.SUCCESS
+        assert run_episode(ref_env, PlansAgent(reply, OPTIMAL), OPTIMAL).outcome is Outcome.SUCCESS
 
 
 def test_first_reply_counts_only_its_final_line(ref_env):
     replies = ["Thought:\nsome musing\n\nright", "right", "up", "right", "up"]
-    result = run_reachable(ref_env, ScriptedMoves(replies))
+    result = run_episode(ref_env, ScriptedMoves(replies), REACHABLE)
     assert result.outcome is Outcome.SUCCESS
     assert result.steps == 5
 
 
 def test_later_replies_must_be_bare_moves(ref_env):
     replies = ["right", "thinking...\nright"]
-    result = run_reachable(ref_env, ScriptedMoves(replies))
+    result = run_episode(ref_env, ScriptedMoves(replies), REACHABLE)
     assert result.outcome is Outcome.INVALID
     assert result.steps == 1
 
 
 def test_blocked_moves_charge_a_step_and_repeat_the_observation(ref_env):
     replies = ["left", "right", "right", "up", "right", "up"]
-    result = run_reachable(ref_env, ScriptedMoves(replies))
+    result = run_episode(ref_env, ScriptedMoves(replies), REACHABLE)
     assert result.outcome is Outcome.SUCCESS
     assert result.steps == 6
     # the blocked first move re-issues an observation for the same cell
@@ -141,10 +142,10 @@ def test_blocked_moves_charge_a_step_and_repeat_the_observation(ref_env):
 
 
 def test_goal_on_the_last_allowed_step_still_wins(ref_env):
-    result = run_reachable(ref_env, OracleAgent(ref_env, REACHABLE), max_steps=5)
+    result = run_episode(ref_env, OracleAgent(ref_env, REACHABLE), REACHABLE, 5)
     assert result.outcome is Outcome.SUCCESS
     assert result.steps == 5
-    result = run_reachable(ref_env, OracleAgent(ref_env, REACHABLE), max_steps=4)
+    result = run_episode(ref_env, OracleAgent(ref_env, REACHABLE), REACHABLE, 4)
     assert result.outcome is Outcome.MAX_STEP
     assert result.steps == 4
 
@@ -152,7 +153,7 @@ def test_goal_on_the_last_allowed_step_still_wins(ref_env):
 def test_transport_failure_aborts_the_episode(ref_env):
     agent = Recorder(error=AgentTransportError("socket fell over"))
     with pytest.raises(EpisodeAborted):
-        run_reachable(ref_env, agent)
+        run_episode(ref_env, agent, REACHABLE)
     assert agent.closes == ["aborted"]
     agent = Recorder(error=AgentTransportError("socket fell over"))
     with pytest.raises(EpisodeAborted):
@@ -184,7 +185,7 @@ def test_dfs_transcript_golden(ref_env):
     for line in lines:
         role, text = line.split("\t", 1)
         golden.append((role, text.replace("\\n", "\n")))
-    result = run_reachable(ref_env, DfsAgent(np.random.default_rng(1)))
+    result = run_episode(ref_env, DfsAgent(np.random.default_rng(1)), REACHABLE)
     assert result.outcome is Outcome.SUCCESS
     assert [(t.role, t.text) for t in result.transcript[3:]] == golden
 
@@ -193,27 +194,27 @@ def test_dfs_explores_every_tree_without_getting_stuck():
     for index in range(30):
         spec = generate_indexed(TRAIN_PARAMS, index)
         budget = 4 * len(spec.free_cells())
-        result = run_reachable(spec, DfsAgent(np.random.default_rng(index)), budget)
+        result = run_episode(spec, DfsAgent(np.random.default_rng(index)), REACHABLE, budget)
         assert result.outcome is Outcome.SUCCESS, index
         assert result.steps <= 2 * len(spec.free_cells())
 
 
 def test_plans_agent_replays_one_move_per_turn(ref_env):
     agent = PlansAgent("Thought:\nStep 1:\nBacktrack:\n(3, 2)up\n(0, 0)\nright\nright\nup\nright\nup", REACHABLE)
-    result = run_reachable(ref_env, agent)
+    result = run_episode(ref_env, agent, REACHABLE)
     assert result.outcome is Outcome.SUCCESS
     assert result.steps == 5
 
 
 def test_plans_agent_short_plan_runs_out(ref_env):
-    result = run_reachable(ref_env, PlansAgent("right", REACHABLE))
+    result = run_episode(ref_env, PlansAgent("right", REACHABLE), REACHABLE)
     # after the recorded move is spent the empty reply is invalid
     assert result.outcome is Outcome.INVALID
     assert result.steps == 1
 
 
 def test_plans_agent_unparseable_text_goes_out_raw_once(ref_env):
-    result = run_reachable(ref_env, PlansAgent("no plan at all", REACHABLE))
+    result = run_episode(ref_env, PlansAgent("no plan at all", REACHABLE), REACHABLE)
     assert result.outcome is Outcome.INVALID
     assert result.steps == 0
 
