@@ -23,8 +23,8 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cache
 
-from .grid import ACTION_BY_WORD, ACTIONS, GLOBAL_MAX_COORD, Action, GridSpec, Position, optimal_path
-from .prompts import POSITION_RE, format_position, parse_position
+from .grid import ACTION_BY_WORD, ACTIONS, Action, GridSpec, optimal_path
+from .prompts import POSITION_TEXT
 
 CUT_TOKEN = "cut"
 
@@ -40,21 +40,6 @@ class Verbosity(Enum):
     KEPT = "kept"
     FULL = "full"
     FULL_MARKED = "full-marked"
-
-
-class _PositionText(dict):
-    """'(x, y)' per cell; cells outside the table are formatted on demand."""
-
-    def __missing__(self, pos: Position) -> str:
-        return format_position(pos)
-
-
-# every cell a probe of a valid board can name: one step around [0, 19]^2
-_POSITION_TEXT = _PositionText(
-    ((x, y), format_position((x, y)))
-    for x in range(-1, GLOBAL_MAX_COORD + 2)
-    for y in range(-1, GLOBAL_MAX_COORD + 2)
-)
 
 
 @dataclass(frozen=True)
@@ -130,7 +115,7 @@ def build_search_trace(spec: GridSpec, variant: CotVariant, strict: bool = False
     root, terminal = (spec.start, spec.goal) if fwd else (spec.goal, spec.start)
     min_x, min_y, max_x, max_y = spec.min_x, spec.min_y, spec.max_x, spec.max_y
     probes = _probes(variant)
-    text = _POSITION_TEXT
+    text = POSITION_TEXT
     lines = ["Thought:"]
     append = lines.append
     # visited cells and obstacles alike cut a probe; the reason is not written
@@ -208,18 +193,48 @@ class PlanParseError(ValueError):
         self.line = line
 
 
-_STEP_RE = re.compile(r"^Step \d+:$")
-_MERGED_RE = re.compile(r"^\((-?\d+), (-?\d+)\)(up|down|left|right)$")
+_STATE = r"\(-?\d+, -?\d+\)"
+_MOVE = "(?:up|down|left|right)"
+_STATE_RE = re.compile(_STATE)
+_MOVE_RE = re.compile(_MOVE)
+_STEP_RE = re.compile(r"Step \d+:")
+_BACKTRACK_RE = re.compile("Backtrack:")
+# Matched at the start of a tail whose every line ends in "\n", these consume
+# what a line-by-line walk would read past: Backtrack entries (a state glued to
+# its move, or a state and its move that another state follows), or probes (a
+# state and its label). No line can be read two ways, so the match ends where
+# the walk would stop: at the terminal state, the plan, or the first bad line.
+_BACKTRACK_ENTRIES = re.compile(rf"(?:{_STATE}(?:{_MOVE}|\n{_MOVE}(?=\n{_STATE}{_MOVE}?\n))\n)*")
+_STEP_PROBES = re.compile(rf"(?:{_STATE}\n(?:{_MOVE}|{CUT_TOKEN})\n)*")
 
 
-def _actions_or_raise(lines: list[str], offset: int) -> list[Action]:
-    out = []
-    for k, line in enumerate(lines):
-        action = ACTION_BY_WORD.get(line)
-        if action is None:
-            raise PlanParseError(f"expected a move word, got {line!r}", offset + k + 1)
-        out.append(action)
-    return out
+def _line_number(text: str, at: int) -> int:
+    """1-based number of the line of ``text`` that holds offset ``at``."""
+    return text.count("\n", 0, at) + 1
+
+
+def _plan(text: str, at: int) -> list[Action]:
+    """The actions of ``text[at:]``, which must be move words, one per line."""
+    lines = text[at:].split("\n")
+    actions = list(map(ACTION_BY_WORD.get, lines))
+    if None in actions:
+        k = actions.index(None)
+        raise PlanParseError(f"expected a move word, got {lines[k]!r}", _line_number(text, at) + k)
+    return actions
+
+
+def _last_line(text: str, needle: str, pattern: re.Pattern) -> tuple[int, int] | None:
+    """(start, end) of the last line that ``pattern`` matches in full, found
+    from the end by ``needle``: a newline and the line's first characters."""
+    end = len(text)
+    while (at := text.rfind(needle, 0, end)) >= 0:
+        stop = text.find("\n", at + 1)
+        if stop < 0:
+            stop = len(text)
+        if pattern.fullmatch(text, at + 1, stop):
+            return at + 1, stop
+        end = at
+    return None
 
 
 def parse_plan(text: str) -> tuple[str | None, list[Action]]:
@@ -228,77 +243,63 @@ def parse_plan(text: str) -> tuple[str | None, list[Action]]:
     Accepts bare plans, thoughts ending in a plan, and thoughts whose
     Backtrack walk interleaves the moves with the states (the backward
     style); in that last case the interleaved moves are the plan and the
-    whole text is returned as the thought. Raises PlanParseError otherwise.
+    whole text is returned as the thought. A thought is read from its last
+    "Backtrack:" line, or failing that its last "Step n:" line; the lines
+    before that header are not parsed. Raises PlanParseError otherwise; its
+    line is 1-based in the reply stripped of surrounding whitespace.
     """
     stripped = text.strip()
-    lines = stripped.split("\n")
     if not stripped:
         raise PlanParseError("empty reply", 1)
-
-    if lines[0] != "Thought:":
-        return None, _actions_or_raise(lines, 0)
-
-    bt_idx = None
-    step_idx = None
-    for i, line in enumerate(lines):
-        if line == "Backtrack:":
-            bt_idx = i
-        elif _STEP_RE.match(line):
-            step_idx = i
-
-    if bt_idx is not None:
-        return _parse_after_backtrack(lines, bt_idx)
-    if step_idx is not None:
-        return _parse_after_steps(lines, step_idx)
+    if stripped[:9] not in ("Thought:\n", "Thought:"):
+        return None, _plan(stripped, 0)
+    header = _last_line(stripped, "\nBacktrack:", _BACKTRACK_RE)
+    if header is not None:
+        return _parse_after_backtrack(stripped, *header)
+    header = _last_line(stripped, "\nStep ", _STEP_RE)
+    if header is not None:
+        return _parse_after_steps(stripped, *header)
     raise PlanParseError("thought contains no steps and no backtrack", 1)
 
 
-def _parse_after_backtrack(lines: list[str], bt_idx: int) -> tuple[str, list[Action]]:
-    tail = lines[bt_idx + 1 :]
-    base = bt_idx + 1  # 0-based offset of tail[0] in lines
-    if not tail:
-        raise PlanParseError("backtrack section is empty", bt_idx + 1)
-    interleaved: list[Action] = []
-    i = 0
-    while i < len(tail):
-        merged = _MERGED_RE.match(tail[i])
-        if merged:
-            interleaved.append(ACTION_BY_WORD[merged.group(3)])
-            i += 1
-            continue
-        if parse_position(tail[i]) is None:
-            raise PlanParseError(f"expected a state, got {tail[i]!r}", base + i + 1)
-        if i + 1 == len(tail):
-            # terminal state, no explicit plan: the interleaved moves are it
-            if not interleaved:
-                raise PlanParseError("backtrack contains no moves", base + i + 1)
-            return "\n".join(lines), interleaved
-        nxt = tail[i + 1]
-        if nxt not in ACTION_BY_WORD:
-            raise PlanParseError(f"expected a move word, got {nxt!r}", base + i + 2)
-        after = tail[i + 2] if i + 2 < len(tail) else None
-        if after is not None and (POSITION_RE.match(after) or _MERGED_RE.match(after)):
-            interleaved.append(ACTION_BY_WORD[nxt])
-            i += 2
-            continue
-        # terminal state: everything after it is the plan
-        plan = _actions_or_raise(tail[i + 1 :], base + i + 1)
-        return "\n".join(lines[: base + i + 1]), plan
-    raise PlanParseError("backtrack does not end on a state", base + len(tail))
+def _parse_after_backtrack(text: str, start: int, stop: int) -> tuple[str, list[Action]]:
+    if stop == len(text):
+        raise PlanParseError("backtrack section is empty", _line_number(text, start))
+    at = stop + 1
+    tail = text[at:] + "\n"
+    end = _BACKTRACK_ENTRIES.match(tail).end()
+    if end == len(tail):  # the last entry is a state glued to its move
+        raise PlanParseError("backtrack does not end on a state", _line_number(text, len(text)))
+    state_end = tail.index("\n", end)
+    state = tail[end:state_end]
+    if not _STATE_RE.fullmatch(state):
+        raise PlanParseError(f"expected a state, got {state!r}", _line_number(text, at + end))
+    if state_end + 1 == len(tail):
+        # terminal state, no explicit plan: the interleaved moves are it
+        if not end:
+            raise PlanParseError("backtrack contains no moves", _line_number(text, at))
+        return text, [ACTION_BY_WORD[word] for word in _MOVE_RE.findall(tail, 0, end)]
+    word = tail[state_end + 1 : tail.index("\n", state_end + 1)]
+    if word not in ACTION_BY_WORD:
+        line = _line_number(text, at + end) + 1
+        raise PlanParseError(f"expected a move word, got {word!r}", line)
+    # terminal state: everything after it is the plan
+    return text[: at + state_end], _plan(text, at + state_end + 1)
 
 
-def _parse_after_steps(lines: list[str], step_idx: int) -> tuple[str, list[Action]]:
-    tail = lines[step_idx + 1 :]
-    base = step_idx + 1
-    i = 0
-    while i < len(tail) and parse_position(tail[i]) is not None:
-        if i + 1 >= len(tail):
-            raise PlanParseError("state without a label at end of reply", base + i + 1)
-        label = tail[i + 1]
-        if label not in ACTION_BY_WORD and label != CUT_TOKEN:
-            raise PlanParseError(f"expected a move word or {CUT_TOKEN!r}, got {label!r}", base + i + 2)
-        i += 2
-    if i >= len(tail):
-        raise PlanParseError("no plan after the thought", base + max(i, 1))
-    plan = _actions_or_raise(tail[i:], base + i)
-    return "\n".join(lines[: base + i]), plan
+def _parse_after_steps(text: str, start: int, stop: int) -> tuple[str, list[Action]]:
+    at = stop + 1
+    tail = text[at:] + "\n" if stop < len(text) else ""
+    end = _STEP_PROBES.match(tail).end()
+    if end == len(tail):
+        # the last line, or the one after the header when nothing follows it
+        line = _line_number(text, start) + max(tail.count("\n"), 1)
+        raise PlanParseError("no plan after the thought", line)
+    first_end = tail.index("\n", end)
+    if _STATE_RE.fullmatch(tail, end, first_end):
+        line = _line_number(text, at + end)
+        if first_end + 1 == len(tail):
+            raise PlanParseError("state without a label at end of reply", line)
+        label = tail[first_end + 1 : tail.index("\n", first_end + 1)]
+        raise PlanParseError(f"expected a move word or {CUT_TOKEN!r}, got {label!r}", line + 1)
+    return text[: at + end - 1], _plan(text, at + end)

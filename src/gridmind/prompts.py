@@ -10,9 +10,9 @@ text is byte-stable and free of trailing whitespace.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .grid import ACTION_BY_WORD, Action, GridSpec, Position, valid_actions
+from .grid import ACTION_BY_WORD, GLOBAL_MAX_COORD, Action, GridSpec, Position, valid_actions
 
 HUMAN = "human"
 GPT = "gpt"
@@ -36,8 +36,7 @@ RULES_TEXT = (
 ACK_TEXT = "OK"
 
 
-@dataclass(frozen=True)
-class PromptText:
+class PromptText(NamedTuple):
     """One conversation turn: role is 'human' or 'gpt'."""
 
     role: str
@@ -48,18 +47,36 @@ def format_position(pos: Position) -> str:
     return f"({pos[0]}, {pos[1]})"
 
 
+class _PositionText(dict):
+    """'(x, y)' per cell; cells outside the table are formatted on demand."""
+
+    def __missing__(self, pos: Position) -> str:
+        return format_position(pos)
+
+
+# every cell a valid board or a probe of one can name: one step around [0, 19]^2
+POSITION_TEXT = _PositionText(
+    ((x, y), format_position((x, y)))
+    for x in range(-1, GLOBAL_MAX_COORD + 2)
+    for y in range(-1, GLOBAL_MAX_COORD + 2)
+)
+_POSITION_OF = {text: pos for pos, text in POSITION_TEXT.items()}
+
 POSITION_RE = re.compile(r"^\((-?\d+), (-?\d+)\)$")
 
 
 def parse_position(line: str) -> Position | None:
     """Position for a '(x, y)' line, else None."""
-    m = POSITION_RE.match(line)
-    return (int(m.group(1)), int(m.group(2))) if m else None
+    pos = _POSITION_OF.get(line)
+    if pos is None:
+        m = POSITION_RE.match(line)
+        pos = (int(m.group(1)), int(m.group(2))) if m else None
+    return pos
 
 
 def join_positions(cells) -> str:
     """Lexicographically sorted list with a serial comma: '(a), (b), and (c)'."""
-    parts = [format_position(c) for c in sorted(cells)]
+    parts = [POSITION_TEXT[c] for c in sorted(cells)]
     if len(parts) == 1:
         return parts[0]
     return ", ".join(parts[:-1]) + ", and " + parts[-1]
@@ -77,20 +94,21 @@ def render_obstacles(spec: GridSpec) -> str:
 
 def render_observation(spec: GridSpec, pos: Position) -> str:
     """Current cell plus each possible move as a destination and action line."""
-    lines = ["Current:", format_position(pos), "Possible:"]
+    text = POSITION_TEXT
+    lines = ["Current:", text[pos], "Possible:"]
     for action, dest in valid_actions(spec, pos):
-        lines.append(format_position(dest))
+        lines.append(text[dest])
         lines.append(action.value)
     return "\n".join(lines)
 
 
 def render_environment(spec: GridSpec) -> str:
     """The third opening turn: bounds, goal, start, obstacles, first observation."""
+    text = POSITION_TEXT
     lines = [
-        f"Grid is from {format_position((spec.min_x, spec.min_y))} "
-        f"to {format_position((spec.max_x, spec.max_y))}. "
-        f"Goal: {format_position(spec.goal)}",
-        f"Current: {format_position(spec.start)}",
+        f"Grid is from {text[spec.min_x, spec.min_y]} to {text[spec.max_x, spec.max_y]}. "
+        f"Goal: {text[spec.goal]}",
+        f"Current: {text[spec.start]}",
     ]
     obstacles = render_obstacles(spec)
     if obstacles:

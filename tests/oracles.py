@@ -9,7 +9,11 @@ from __future__ import annotations
 
 import heapq
 import math
+import re
 from typing import NamedTuple
+
+from gridmind.cogmap import PlanParseError
+from gridmind.grid import ACTION_BY_WORD
 
 # word -> coordinate delta, in the documented up/down/left/right order
 DELTAS = {"up": (0, 1), "down": (0, -1), "left": (-1, 0), "right": (1, 0)}
@@ -245,3 +249,97 @@ def thought_text(spec, variant: str, strict: bool = False) -> str:
             else:
                 lines += [text, word]
     return "\n".join(lines)
+
+
+# The line-by-line plan parser that ``cogmap.parse_plan`` replaced: it splits
+# the whole reply and classifies every line with regular expressions. It is
+# kept as the reference for the parser's return values, messages and lines.
+_STEP_LINE = re.compile(r"^Step \d+:$")
+_STATE_LINE = re.compile(r"^\((-?\d+), (-?\d+)\)$")
+_MERGED_LINE = re.compile(r"^\((-?\d+), (-?\d+)\)(up|down|left|right)$")
+
+
+def _actions_or_raise(lines, offset):
+    out = []
+    for k, line in enumerate(lines):
+        action = ACTION_BY_WORD.get(line)
+        if action is None:
+            raise PlanParseError(f"expected a move word, got {line!r}", offset + k + 1)
+        out.append(action)
+    return out
+
+
+def parse_plan(text: str):
+    """(thought, actions) of a reply, or PlanParseError, read line by line."""
+    stripped = text.strip()
+    lines = stripped.split("\n")
+    if not stripped:
+        raise PlanParseError("empty reply", 1)
+
+    if lines[0] != "Thought:":
+        return None, _actions_or_raise(lines, 0)
+
+    bt_idx = None
+    step_idx = None
+    for i, line in enumerate(lines):
+        if line == "Backtrack:":
+            bt_idx = i
+        elif _STEP_LINE.match(line):
+            step_idx = i
+
+    if bt_idx is not None:
+        return _parse_after_backtrack(lines, bt_idx)
+    if step_idx is not None:
+        return _parse_after_steps(lines, step_idx)
+    raise PlanParseError("thought contains no steps and no backtrack", 1)
+
+
+def _parse_after_backtrack(lines, bt_idx):
+    tail = lines[bt_idx + 1 :]
+    base = bt_idx + 1  # 0-based offset of tail[0] in lines
+    if not tail:
+        raise PlanParseError("backtrack section is empty", bt_idx + 1)
+    interleaved = []
+    i = 0
+    while i < len(tail):
+        merged = _MERGED_LINE.match(tail[i])
+        if merged:
+            interleaved.append(ACTION_BY_WORD[merged.group(3)])
+            i += 1
+            continue
+        if not _STATE_LINE.match(tail[i]):
+            raise PlanParseError(f"expected a state, got {tail[i]!r}", base + i + 1)
+        if i + 1 == len(tail):
+            # terminal state, no explicit plan: the interleaved moves are it
+            if not interleaved:
+                raise PlanParseError("backtrack contains no moves", base + i + 1)
+            return "\n".join(lines), interleaved
+        nxt = tail[i + 1]
+        if nxt not in ACTION_BY_WORD:
+            raise PlanParseError(f"expected a move word, got {nxt!r}", base + i + 2)
+        after = tail[i + 2] if i + 2 < len(tail) else None
+        if after is not None and (_STATE_LINE.match(after) or _MERGED_LINE.match(after)):
+            interleaved.append(ACTION_BY_WORD[nxt])
+            i += 2
+            continue
+        # terminal state: everything after it is the plan
+        plan = _actions_or_raise(tail[i + 1 :], base + i + 1)
+        return "\n".join(lines[: base + i + 1]), plan
+    raise PlanParseError("backtrack does not end on a state", base + len(tail))
+
+
+def _parse_after_steps(lines, step_idx):
+    tail = lines[step_idx + 1 :]
+    base = step_idx + 1
+    i = 0
+    while i < len(tail) and _STATE_LINE.match(tail[i]):
+        if i + 1 >= len(tail):
+            raise PlanParseError("state without a label at end of reply", base + i + 1)
+        label = tail[i + 1]
+        if label not in ACTION_BY_WORD and label != "cut":
+            raise PlanParseError(f"expected a move word or 'cut', got {label!r}", base + i + 2)
+        i += 2
+    if i >= len(tail):
+        raise PlanParseError("no plan after the thought", base + max(i, 1))
+    plan = _actions_or_raise(tail[i:], base + i)
+    return "\n".join(lines[: base + i]), plan

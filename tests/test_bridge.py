@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import socket
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
@@ -22,16 +23,21 @@ from gridmind.prompts import render_instruction
 REF_PLAN = ["right", "right", "up", "right", "up"]
 
 # replays the reference plan by counting the move turns already in the
-# transcript, and logs every request object it sees to the file in argv[1]
+# transcript, and logs every request object it sees to the file in argv[1],
+# which it creates once it is ready to read; an optional argv[2] is the
+# number of seconds it sits on the first request before answering it
 STUB = r"""
-import json, sys
+import json, sys, time
 plan = ["right", "right", "up", "right", "up"]
 log = open(sys.argv[1], "a")
+first_delay = float(sys.argv[2]) if len(sys.argv) > 2 else 0.0
 for line in sys.stdin:
     obj = json.loads(line)
     print(json.dumps(obj), file=log, flush=True)
     if obj.get("type") == "end":
         break
+    time.sleep(first_delay)
+    first_delay = 0.0
     moves = sum(1 for m in obj["messages"] if m["role"] == "gpt") - 1
     sys.stdout.write(json.dumps({"text": plan[moves]}) + "\n")
     sys.stdout.flush()
@@ -102,12 +108,21 @@ def test_stdio_spawn_failure_aborts(ref_env):
 def test_stdio_slow_first_reply_keeps_turns_paired(ref_env, tmp_path):
     # the first reply comes after one timeout; resending would pair every
     # later turn with the reply to the turn before and walk into the pit
-    script = tmp_path / "slow_first.py"
-    script.write_text("import time\ntime.sleep(1.5)\n" + STUB)
+    script = tmp_path / "stub.py"
+    script.write_text(STUB)
     log = tmp_path / "requests.jsonl"
-    agent = StdioBridgeAgent(f"python3 {script} {log}", "s-4", timeout=1.0)
+    agent = StdioBridgeAgent(f"python3 {script} {log} 1.5", "s-4", timeout=1.0)
+    # start the agent and wait until it reads, so that its 1.5 s delay runs
+    # from the first send and interpreter start-up does not count
+    agent._ensure_started()
+    deadline = time.monotonic() + 60
+    while not log.exists():
+        assert time.monotonic() < deadline, "the agent did not start"
+        time.sleep(0.01)
 
+    started = time.monotonic()
     result = run_episode(ref_env, agent, REACHABLE)
+    assert time.monotonic() - started > 1.0  # the first reply came after one timeout
     assert result.outcome is Outcome.SUCCESS
     assert result.steps == len(REF_PLAN)
     requests = [json.loads(line) for line in log.read_text().splitlines()]

@@ -5,7 +5,7 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gridmind import GridSpec
+from gridmind import Action, GridSpec
 from gridmind.cogmap import (
     ALL_VARIANTS,
     CUT_TOKEN,
@@ -13,6 +13,7 @@ from gridmind.cogmap import (
     CotVariant,
     Direction,
     PlanParseError,
+    join_reply,
     parse_plan,
     render_parts,
     render_target,
@@ -22,6 +23,7 @@ from gridmind.grid import optimal_path
 
 from conftest import load_golden, translate
 from oracles import DELTAS, search_trace, thought_text
+from oracles import parse_plan as reference_parse_plan
 
 GOLDEN_VARIANTS = [
     f"{d}-{v}"
@@ -216,6 +218,71 @@ def test_parse_single_move_plan_after_backtrack():
         assert [a.value for a in actions] == ["up"]
 
 
+def _parsed(parse, text):
+    try:
+        return parse(text)
+    except PlanParseError as err:
+        return err.line, str(err)
+
+
+_CELLS = st.builds("({}, {})".format, st.integers(-2, 45), st.integers(-2, 45))
+_WORDS = st.sampled_from(list(DELTAS))
+_PADDING = st.sampled_from(["", " ", "\n", " \t\n", "\r\n"])
+_ARABIC_DIGITS = str.maketrans("0123456789", "".join(map(chr, range(0x660, 0x66A))))
+
+
+def _mutant_line(lines):
+    """A line to put into a reply: any of its own lines, a state, a merged
+    state, a move word, a header, a Unicode digit, a leading zero or junk."""
+    return st.one_of(
+        st.sampled_from(lines),
+        _CELLS,
+        st.builds(str.__add__, _CELLS, _WORDS),
+        _WORDS,
+        st.sampled_from([CUT_TOKEN, "Backtrack:", "Thought:", "", " "]),
+        st.integers(0, 30).map("Step {}:".format),
+        st.sampled_from(["(\u0663, 1)", "(1, -\u0662)up", "Step \u0663:", "(01, -0)"]),
+        st.text(max_size=6),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([TRAIN_PARAMS, TEST_PARAMS]), st.integers(0, 2**32), st.data())
+def test_parse_plan_matches_the_line_walk(params, index, data):
+    spec = generate_indexed(params, index)
+    replies = []
+    for variant in ALL_VARIANTS:
+        for strict in (False, True):
+            thought, plan = render_parts(spec, variant, strict)
+            replies += [join_reply(thought, plan)] + ([thought] if thought else [])
+    for reply in replies:
+        assert _parsed(parse_plan, reply) == _parsed(reference_parse_plan, reply)
+    # one reply, edited a few times, mostly near its end: a line inserted,
+    # deleted, replaced, retyped or joined to the next, or the reply cut short
+    lines = data.draw(st.sampled_from(replies)).split("\n")
+    for _ in range(data.draw(st.integers(0, 4))):
+        edit = data.draw(st.sampled_from(["insert", "delete", "replace", "retype", "join", "cut"]))
+        at = max(len(lines) - data.draw(st.integers(0, 40) | st.integers(0, len(lines))), 0)
+        if edit == "insert":
+            lines.insert(at, data.draw(_mutant_line(lines)))
+        elif edit == "cut":
+            lines = lines[:at]
+        elif at < len(lines):
+            if edit == "delete":
+                del lines[at]
+            elif edit == "replace":
+                lines[at] = data.draw(_mutant_line(lines))
+            elif edit == "join":
+                lines[at : at + 2] = ["".join(lines[at : at + 2])]
+            else:
+                lines[at] = data.draw(
+                    st.sampled_from([lines[at] + "\r", lines[at].translate(_ARABIC_DIGITS)])
+                )
+        lines = lines or [""]
+    text = data.draw(_PADDING) + "\n".join(lines) + data.draw(_PADDING)
+    assert _parsed(parse_plan, text) == _parsed(reference_parse_plan, text), text
+
+
 @pytest.mark.parametrize(
     "text,line",
     [
@@ -223,6 +290,7 @@ def test_parse_single_move_plan_after_backtrack():
         ("   \n  ", 1),
         ("up\nbanana", 2),
         ("Thought:\nno structure", 1),
+        ("Thought:\nStep 1:", 3),
         ("Thought:\nStep 1:\n(1, 1)", 3),
         ("Thought:\nStep 1:\n(1, 1)\nfly\nup", 4),
         ("Thought:\nStep 1:\n(1, 1)\nup", 4),
@@ -230,6 +298,8 @@ def test_parse_single_move_plan_after_backtrack():
         ("Thought:\nBacktrack:\n(1, 1)", 3),
         ("Thought:\nBacktrack:\nnonsense", 3),
         ("Thought:\nBacktrack:\n(1, 1)\nfly", 4),
+        ("Thought:\nBacktrack:\n(1, 1)up", 3),
+        ("Thought:\nBacktrack:\n(1, 1)\nup\n(1, 2)up\nbanana", 6),
     ],
 )
 def test_parse_errors_carry_line_numbers(text, line):
@@ -237,6 +307,22 @@ def test_parse_errors_carry_line_numbers(text, line):
         parse_plan(text)
     assert err.value.line == line
     assert f"line {line}:" in str(err.value)
+
+
+def test_unicode_digits_read_as_digits(ref_env):
+    # \d, in the parser as in Python's re, matches every Unicode decimal digit
+    for name in ("bwd-full-bt", "fwd-kept-nobt"):
+        reply = render_target(ref_env, CotVariant.from_name(name))
+        thought, actions = parse_plan(reply)
+        arabic = (thought.translate(_ARABIC_DIGITS), actions)
+        assert parse_plan(reply.translate(_ARABIC_DIGITS)) == arabic
+
+
+def test_a_state_too_long_for_int_is_still_a_state():
+    # state lines are matched, never converted: 5000 digits used to raise
+    # int()'s ValueError out of parse_plan and stop the whole eval batch
+    reply = "Thought:\nBacktrack:\n(" + "1" * 5000 + ", 1)\nup\n(1, 1)\nup"
+    assert parse_plan(reply) == (reply[: -len("\nup")], [Action.UP])
 
 
 def test_cut_token_only_in_marked_variants(ref_env):

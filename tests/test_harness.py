@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+import json
 import re
 
 import numpy as np
@@ -17,6 +19,7 @@ from gridmind import (
     run_episode,
     scripted_agent_factory,
 )
+from gridmind.cogmap import CotVariant, join_reply, render_parts
 from gridmind.generate import TEST_PARAMS, TRAIN_PARAMS, generate_indexed
 from gridmind.grid import optimal_path
 from gridmind.harness import OPTIMAL, REACHABLE, Agent, AgentTransportError, OracleAgent
@@ -395,3 +398,38 @@ def test_a_step_budget_below_one_is_rejected(ref_env, mode, max_steps):
 def test_batch_report_outcome_counts(ref_env):
     report = BatchReport(mode=REACHABLE, max_steps=200, seed=0)
     assert report.rates == {k: 0.0 for k in report.counts}
+
+
+# SHA-256 of json.dumps(BatchReport.to_json_dict(), sort_keys=True) for
+# recorded replies over test boards 0..199 at seed 0. Board i gets, by i % 3,
+# its own target text, the next board's, or its thought alone, so wrong
+# plans, recovered Backtrack moves and parse errors are all scored.
+_EVAL_DIGESTS = {
+    ("bwd-full-marked-bt", False, OPTIMAL): "2e133e5f1e03a5c763e7bedc8025a8b5107167319bf46ccb5a08e6a113769412",
+    ("bwd-full-marked-bt", False, REACHABLE): "44c29455e2b515aab29b32f3de9602d8844097a40915dd0a9f9714e4e0e3008f",
+    ("fwd-full-bt", True, OPTIMAL): "1e414b3ecd063d945c766ae489887fdefb38b4afaa61d7e91621c8d07f694f52",
+    ("fwd-full-bt", True, REACHABLE): "57a0e0311d7dbf38ec875ba9c4d2d4115aa6aa6ca09caa6b621e7f3a01bba1d5",
+    ("fwd-kept-nobt", False, OPTIMAL): "22cba292811a35afdf4e0aa39cfc50bfedac3945a6fd5b757b3f094510945603",
+    ("fwd-kept-nobt", False, REACHABLE): "e549a24030e1ead175cbad730c6a75f2ef6621ce7d8532bc082e9b6c775d88fa",
+    ("fwd-none", False, OPTIMAL): "22cba292811a35afdf4e0aa39cfc50bfedac3945a6fd5b757b3f094510945603",
+    ("fwd-none", False, REACHABLE): "54eea64184b6c4d7d2324e5e14c70a17ea50c57bcc43cf5135b457fa7abf0ea5",
+}
+
+
+@pytest.fixture(scope="module")
+def eval_boards():
+    return [generate_indexed(TEST_PARAMS, index) for index in range(200)]
+
+
+@pytest.mark.parametrize("name,strict,mode", sorted(_EVAL_DIGESTS))
+def test_eval_report_bytes_are_pinned(eval_boards, name, strict, mode):
+    assert TEST_PARAMS.seed == 0
+    variant = CotVariant.from_name(name)
+    parts = [render_parts(spec, variant, strict) for spec in eval_boards]
+    targets = [join_reply(*p) for p in parts]
+    replies = [
+        (targets[i], targets[(i + 1) % len(parts)], parts[i][0])[i % 3] for i in range(len(parts))
+    ]
+    report = evaluate_batch(eval_boards, plans_agent_factory(replies, mode), mode)
+    blob = json.dumps(report.to_json_dict(), sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == _EVAL_DIGESTS[name, strict, mode]

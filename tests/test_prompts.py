@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from gridmind import Action, GridSpec
@@ -9,6 +11,7 @@ from gridmind.prompts import (
     GPT,
     HUMAN,
     RULES_TEXT,
+    PromptText,
     format_position,
     join_positions,
     parse_action,
@@ -20,7 +23,7 @@ from gridmind.prompts import (
     render_observation,
 )
 
-from conftest import load_golden
+from conftest import load_golden, translate
 
 
 def test_rules_text_golden():
@@ -53,6 +56,30 @@ def test_position_formatting_round_trip():
     assert parse_position("(3,12)") is None
     assert parse_position(" (3, 12)") is None
     assert parse_position("(3, 12) ") is None
+
+
+def test_positions_off_the_table_render_and_parse_the_same_way(ref_env):
+    for x in range(-3, 23):
+        for y in range(-3, 23):
+            assert parse_position(format_position((x, y))) == (x, y)
+    assert parse_position("(03, -0)") == (3, 0)
+    # a board far off the coordinate table is written cell by cell as before
+    far = translate(ref_env, 40, -7)
+    shifted = re.sub(
+        r"\((-?\d+), (-?\d+)\)",
+        lambda m: f"({int(m[1]) + 40}, {int(m[2]) - 7})",
+        render_environment(ref_env),
+    )
+    assert render_environment(far) == shifted
+
+
+def test_prompt_text_is_an_immutable_value():
+    turn = PromptText(HUMAN, "hi")
+    assert (turn.role, turn.text) == (HUMAN, "hi")
+    assert turn == PromptText(HUMAN, "hi")
+    assert turn != PromptText(GPT, "hi")
+    with pytest.raises(AttributeError):
+        turn.text = "bye"
 
 
 def test_join_positions_serial_comma():
