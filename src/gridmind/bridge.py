@@ -105,8 +105,9 @@ class StdioBridgeAgent(Agent):
             raise AgentTransportError(f"cannot spawn {self._command}: {exc}") from exc
 
         def pump(stream, lines):
-            for line in stream:
-                lines.put(line)
+            with stream:
+                for line in stream:
+                    lines.put(line)
             lines.put(None)
 
         threading.Thread(
@@ -145,6 +146,7 @@ class StdioBridgeAgent(Agent):
             self._proc.wait(timeout=2)
         except (OSError, subprocess.TimeoutExpired):
             self._proc.kill()
+            self._proc.wait()
 
 
 class HttpBridgeAgent(Agent):

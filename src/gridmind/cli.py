@@ -10,6 +10,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .bridge import bridge_agent_factory
@@ -96,17 +97,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _gen_params(args, seed: int) -> GenParams | None:
-    overrides = {
-        "size_min": args.size_min,
-        "size_max": args.size_max,
-        "wall_density": args.wall_density,
-        "pit_density": args.pit_density,
-    }
-    overrides = {k: v for k, v in overrides.items() if v is not None}
-    if not overrides:
-        return None
-    base = split_params(args.split, seed)
-    return GenParams(**{**base.__dict__, **overrides})
+    names = ("size_min", "size_max", "wall_density", "pit_density")
+    overrides = {k: getattr(args, k) for k in names if getattr(args, k) is not None}
+    return replace(split_params(args.split, seed), **overrides) if overrides else None
 
 
 def cmd_generate(args) -> int:

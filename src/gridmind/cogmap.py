@@ -23,7 +23,8 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cache
 
-from .grid import ACTION_BY_WORD, ACTIONS, Action, GridSpec, optimal_path
+from .grid import (ACTION_BY_WORD, ACTIONS, FREE, OFF, Action, GridSpec, neighbour_steps,
+                   optimal_path)
 from .prompts import POSITION_TEXT
 
 CUT_TOKEN = "cut"
@@ -84,8 +85,9 @@ _VARIANTS_BY_NAME = {v.name: v for v in ALL_VARIANTS}
 
 
 @cache
-def _probes(variant: CotVariant) -> tuple[tuple[str | None, str | None, int, int], ...]:
-    """(kept word, cut word, dx, dy) per probe in canonical action order.
+def _probes(variant: CotVariant, size_y: int) -> tuple[tuple, ...]:
+    """(kept word, cut word, dx, dy, board index offset) per probe, in canonical
+    action order, on a board ``size_y`` cells high.
 
     Labels name the move from the expanded cell for forward traces and the
     move from the neighbor back into the expanded cell for backward ones, so
@@ -93,11 +95,11 @@ def _probes(variant: CotVariant) -> tuple[tuple[str | None, str | None, int, int
     writes nothing for that probe.
     """
     out = []
-    for action in ACTIONS:
+    for action, d in zip(ACTIONS, neighbour_steps(size_y)):
         word = (action if variant.direction is Direction.FWD else action.inverse).value
         kept = None if variant.verbosity is Verbosity.STEPS else word
         cut = {Verbosity.FULL: word, Verbosity.FULL_MARKED: CUT_TOKEN}.get(variant.verbosity)
-        out.append((kept, cut, *action.delta))
+        out.append((kept, cut, *action.delta, d))
     return tuple(out)
 
 
@@ -113,31 +115,32 @@ def build_search_trace(spec: GridSpec, variant: CotVariant, strict: bool = False
     path = optimal_path(spec)
     fwd = variant.direction is Direction.FWD
     root, terminal = (spec.start, spec.goal) if fwd else (spec.goal, spec.start)
-    min_x, min_y, max_x, max_y = spec.min_x, spec.min_y, spec.max_x, spec.max_y
-    probes = _probes(variant)
+    probes = _probes(variant, spec.size_y)
     text = POSITION_TEXT
     lines = ["Thought:"]
     append = lines.append
-    # visited cells and obstacles alike cut a probe; the reason is not written
-    closed = {root}.union(spec.walls, spec.pits)
-    frontier = [root]
+    # a probe onto a FREE mark is kept and closes it; a cut's reason is not written
+    mark = list(spec.board)
+    mark[spec.cell(root)] = OFF
+    end = spec.cell(terminal)
+    frontier = [(root, spec.cell(root))]
     layers = 0
-    while terminal not in closed:
+    while mark[end] == FREE:
         layers += 1
         append(f"Step {layers}:")
         kept_cells = []
-        for x, y in frontier:
-            for kept, cut, dx, dy in probes:
-                nx, ny = x + dx, y + dy
-                dest = (nx, ny)
-                if min_x <= nx <= max_x and min_y <= ny <= max_y and dest not in closed:
-                    closed.add(dest)
-                    kept_cells.append(dest)
+        for (x, y), c in frontier:
+            for kept, cut, dx, dy, d in probes:
+                n = c + d
+                if mark[n] == FREE:
+                    mark[n] = OFF
+                    dest = (x + dx, y + dy)
+                    kept_cells.append((dest, n))
                     if kept:
                         append(text[dest])
                         append(kept)
                 elif cut:
-                    append(text[dest])
+                    append(text[(x + dx, y + dy)])
                     append(cut)
         frontier = kept_cells
     assert layers == len(path), "layer count must equal solution length"

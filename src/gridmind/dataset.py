@@ -180,6 +180,7 @@ def generate_dataset(
     """Write the dataset shards plus a stats sidecar; returns written paths."""
     ranges = shard_ranges(count, shards)
     params = split_params(split, seed, params)
+    params.validate()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     report = StatsReport()
@@ -202,7 +203,7 @@ def dataset_files(target: str | Path) -> list[Path]:
     """The JSONL files at a path: the file itself, or a directory's shards."""
     p = Path(target)
     if p.is_dir():
-        files = sorted(p.glob("*.jsonl"))
+        files = sorted(f for f in p.glob("*.jsonl") if f.is_file())
         if not files:
             raise FileNotFoundError(f"no .jsonl files under {p}")
         return files
@@ -212,14 +213,15 @@ def dataset_files(target: str | Path) -> list[Path]:
 
 
 def iter_json_lines(path: Path):
-    """Yield (line_no, parsed object or None, error or None) per line."""
-    with open(path) as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
+    """Yield (line_no, parsed object or None, error or None) per line, each
+    line decoded from UTF-8 on its own."""
+    with open(path, "rb") as fh:
+        for line_no, raw in enumerate(fh, start=1):
             try:
-                yield line_no, json.loads(line), None
-            except json.JSONDecodeError as exc:
+                line = raw.decode()
+                if line.strip():
+                    yield line_no, json.loads(line), None
+            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
                 yield line_no, None, str(exc)
 
 
@@ -323,11 +325,11 @@ def _sidecar_violation(path: Path, stats: StatsReport) -> Violation | None:
         found = path.read_bytes().decode(errors="replace")  # no newline translation
     except OSError as exc:
         return Violation(str(path), 1, f"cannot read stats sidecar: {exc.strerror}")
-    if not stats.cells:
-        return Violation(str(path), 1, "stats sidecar has no records in its group")
     expected = sidecar_text(stats)
     if found == expected:
         return None
+    if not stats.cells:
+        return Violation(str(path), 1, "stats sidecar has no records in its group")
     pairs = zip_longest(found.split("\n"), expected.split("\n"))
     for line, (got, want) in enumerate(pairs, start=1):
         if got != want:

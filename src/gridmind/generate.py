@@ -5,8 +5,8 @@ exactly one existing free cell. The free region is therefore an induced tree
 of the grid graph: between any two free cells there is exactly one simple
 path, so every generated environment has a unique solution by construction.
 
-Growth works on the local board with each cell encoded as the int
-``x * h + y``, which sorts in (x, y) order. It records the free neighbour each
+Growth works on the board layout of :mod:`gridmind.grid`: its int cells are
+the spec's board indices, in (x, y) order. It records the free neighbour each
 cell was attached to, so the start-to-goal path is read off the tree instead
 of being searched for; pits are drawn beside that path and the environment is
 built once, then solved once for the complexity floor.
@@ -23,7 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GLOBAL_MAX_COORD, GridSpec
+from .grid import (FREE, GLOBAL_MAX_COORD, GridSpec, board_index, board_positions,
+                   neighbour_steps, ring_board)
 from .stats import complexity
 
 RETRY_BUDGET = 64
@@ -66,40 +67,25 @@ def derive_seed(root_seed: int, index: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def _neighbours(cell: int, w: int, h: int) -> list[int]:
-    """In-board neighbours of int cell ``x * h + y``: up, down, left, right."""
-    x, y = divmod(cell, h)
-    out = []
-    if y + 1 < h:
-        out.append(cell + 1)
-    if y:
-        out.append(cell - 1)
-    if x:
-        out.append(cell - h)
-    if x + 1 < w:
-        out.append(cell + h)
-    return out
-
-
 def _grow_induced_tree(w: int, h: int, target: int, rng: np.random.Generator) -> dict[int, int]:
     """Grow a free region of up to ``target`` cells whose graph is a tree.
 
-    Cells are ints ``x * h + y`` on the local ``w`` by ``h`` board, so the
-    neighbours up, down, left and right of ``c`` are ``c + 1``, ``c - 1``,
-    ``c - h`` and ``c + h``, probed in that order. Each step draws one cell
-    uniformly from those touching exactly one free cell; the draws and the
-    swap-remove order of that list fix the output for a given ``rng``.
-    Returns the tree: each free cell, in the order it joined, mapped to the
-    free cell it was attached to (the first cell maps to -1), from which
-    ``_tree_path`` reads the unique path between any two free cells.
+    Cells are the board indices of a ``w`` by ``h`` board, whose neighbours
+    are probed in canonical action order. Each step draws one cell uniformly
+    from those touching exactly one free cell; the draws and the swap-remove
+    order of that list fix the output for a given ``rng``. Returns the tree:
+    each free cell, in the order it joined, mapped to the free cell it was
+    attached to (the first cell maps to -1), from which ``_tree_path`` reads
+    the unique path between any two free cells.
     """
-    n = w * h
-    x = int(rng.integers(w))
-    cell = x * h + int(rng.integers(h))
-    parent = {cell: -1}
     # free neighbours per cell; a joined cell is set to 2, so later bumps
-    # (3, 4, 5) never make it eligible again
-    touch = [0] * n
+    # (3, 4, 5) never make it eligible again, and so is the ring
+    touch = [0 if mark == FREE else 2 for mark in ring_board(w, h)]
+    n = len(touch)
+    steps = neighbour_steps(h)
+    x = int(rng.integers(w))
+    cell = board_index(x, int(rng.integers(h)), h)
+    parent = {cell: -1}
     touch[cell] = 2
     via = [-1] * n  # the free neighbour of a cell that touches exactly one
     # cells that touch exactly one free cell, as a list for O(1) uniform
@@ -107,7 +93,8 @@ def _grow_induced_tree(w: int, h: int, target: int, rng: np.random.Generator) ->
     eligible: list[int] = []
     slot = [-1] * n
     while True:
-        for nb in _neighbours(cell, w, h):
+        for d in steps:
+            nb = cell + d
             t = touch[nb] + 1
             touch[nb] = t
             if t == 1:
@@ -165,28 +152,24 @@ def _attempt(params: GenParams, rng: np.random.Generator, seed: int | None) -> G
 
     # pits only replace walls beside the solution, which the free tree
     # already fixes; one draw per such wall, in (x, y) order
-    beside = {nb for cell in _tree_path(parent, start, goal) for nb in _neighbours(cell, w, h)}
-    beside_walls = sorted(beside.difference(parent))
+    board = ring_board(w, h)
+    beside = {cell + d for cell in _tree_path(parent, start, goal) for d in neighbour_steps(h)}
+    beside_walls = sorted(c for c in beside.difference(parent) if board[c] == FREE)
     draws = rng.random(len(beside_walls)).tolist()
     pit_cells = {c for c, r in zip(beside_walls, draws) if r < params.pit_density}
 
-    walls = []
-    pits = []
-    cell = 0
-    for x in range(ox, ox + w):
-        for y in range(oy, oy + h):
-            if cell not in parent:
-                (pits if cell in pit_cells else walls).append((x, y))
-            cell += 1
+    where = board_positions(ox, oy, w, h)
+    walls = [where[c] for c, mark in enumerate(board)
+             if mark == FREE and c not in parent and c not in pit_cells]
     return GridSpec(
         min_x=ox,
         min_y=oy,
         size_x=w,
         size_y=h,
-        start=(start // h + ox, start % h + oy),
-        goal=(goal // h + ox, goal % h + oy),
+        start=where[start],
+        goal=where[goal],
         walls=frozenset(walls),
-        pits=frozenset(pits),
+        pits=frozenset(where[c] for c in pit_cells),
         seed=seed,
     )
 

@@ -5,6 +5,14 @@ pits, the rest are free. Moving into a wall or out of bounds leaves the agent
 where it is; moving into a pit loses the episode; moving onto the goal wins.
 Environments produced by :mod:`gridmind.generate` have exactly one simple
 path from start to goal over the free cells.
+
+Every walk over a board reads ``GridSpec.board``: a flat tuple over the
+board plus a one-cell ring, cell ``(x, y)`` at index ``(x - min_x + 1) *
+(size_y + 2) + (y - min_y + 1)``, marked FREE, WALL, PIT or OFF (the ring).
+Indices sort in (x, y) order, ``neighbour_steps`` are the four neighbours'
+offsets in canonical action order, and a step off the board lands on the
+ring. A walk that marks cells does so on a copy, where any mark but FREE
+closes a cell.
 """
 
 from __future__ import annotations
@@ -42,19 +50,9 @@ class Action(Enum):
 
 ACTIONS: tuple[Action, ...] = (Action.UP, Action.DOWN, Action.LEFT, Action.RIGHT)
 
-_DELTAS: dict[Action, Position] = {
-    Action.UP: (0, 1),
-    Action.DOWN: (0, -1),
-    Action.LEFT: (-1, 0),
-    Action.RIGHT: (1, 0),
-}
-
-_INVERSES: dict[Action, Action] = {
-    Action.UP: Action.DOWN,
-    Action.DOWN: Action.UP,
-    Action.LEFT: Action.RIGHT,
-    Action.RIGHT: Action.LEFT,
-}
+_DELTAS: dict[Action, Position] = dict(zip(ACTIONS, ((0, 1), (0, -1), (-1, 0), (1, 0))))
+_INVERSES: dict[Action, Action] = dict(
+    zip(ACTIONS, (Action.DOWN, Action.UP, Action.RIGHT, Action.LEFT)))
 
 # each move word to its Action: the one vocabulary of plans and agent replies
 ACTION_BY_WORD: dict[str, Action] = {a.value: a for a in ACTIONS}
@@ -64,8 +62,30 @@ _STEPS: tuple[tuple[Action, int, int], ...] = tuple((a, *_DELTAS[a]) for a in AC
 
 GLOBAL_MAX_COORD = 19
 
-# count_simple_paths' flood marks; a solution cell is marked with its index
-_FREE, _CLOSED = -1, -2
+# the marks of GridSpec.board
+FREE, WALL, PIT, OFF = -1, -2, -3, -4
+
+
+def ring_board(size_x: int, size_y: int) -> list[int]:
+    """The marks of a ``size_x`` by ``size_y`` board of FREE cells and its ring."""
+    column = [OFF] + [FREE] * size_y + [OFF]
+    return [OFF] * (size_y + 2) + column * size_x + [OFF] * (size_y + 2)
+
+
+def board_index(x: int, y: int, size_y: int) -> int:
+    """The index of the cell ``x`` columns and ``y`` rows from the board's first."""
+    return (x + 1) * (size_y + 2) + y + 1
+
+
+def neighbour_steps(size_y: int) -> tuple[int, int, int, int]:
+    """The index offsets of the up, down, left and right neighbours."""
+    return (1, -1, -size_y - 2, size_y + 2)
+
+
+def board_positions(min_x: int, min_y: int, size_x: int, size_y: int) -> list[Position]:
+    """The (x, y) of each index, ring included."""
+    return [(x, y) for x in range(min_x - 1, min_x + size_x + 1)
+            for y in range(min_y - 1, min_y + size_y + 1)]
 
 
 @dataclass(frozen=True)
@@ -98,52 +118,68 @@ class GridSpec:
     def in_bounds(self, pos: Position) -> bool:
         return self.min_x <= pos[0] <= self.max_x and self.min_y <= pos[1] <= self.max_y
 
+    def cell(self, pos: Position) -> int:
+        """The board index of ``pos``; 0, a ring cell, for any position off the board."""
+        x, y = pos[0] - self.min_x, pos[1] - self.min_y
+        if 0 <= x < self.size_x and 0 <= y < self.size_y:
+            return board_index(x, y, self.size_y)
+        return 0
+
+    @cached_property
+    def board(self) -> tuple[int, ...]:
+        """The mark of each board index; an obstacle off the board marks nothing."""
+        board = ring_board(self.size_x, self.size_y)
+        for mark, cells in ((WALL, self.walls), (PIT, self.pits)):
+            for c in filter(None, map(self.cell, cells)):  # index 0: off the board
+                board[c] = mark
+        return tuple(board)
+
     @cached_property
     def _solution(self) -> tuple[tuple[Action, Position], ...] | None:
         """The BFS start-to-goal trajectory, None when the goal is unreachable.
 
         Solved on first use and kept on the spec; read it via ``optimal_path``.
         """
-        start, goal = self.start, self.goal
-        min_x, min_y, walls, pits = self.min_x, self.min_y, self.walls, self.pits
-        max_x, max_y = self.max_x, self.max_y
-        parents: dict[Position, tuple[Position, Action] | None] = {start: None}
-        frontier = [start]
-        while frontier and goal not in parents:
-            nxt: list[Position] = []
-            for pos in frontier:
-                x, y = pos
-                for action, dx, dy in _STEPS:
-                    dest = (x + dx, y + dy)
-                    if (min_x <= dest[0] <= max_x and min_y <= dest[1] <= max_y
-                            and dest not in walls and dest not in pits and dest not in parents):
-                        parents[dest] = (pos, action)
-                        nxt.append(dest)
-            frontier = nxt
-        if goal not in parents:
+        start, goal = self.cell(self.start), self.cell(self.goal)
+        # FREE until reached, then the position in neighbour_steps of the step in
+        via = list(self.board)
+        if via[start] != FREE or via[goal] != FREE:
             return None
+        steps = neighbour_steps(self.size_y)
+        indexed = tuple(enumerate(steps))
+        via[start] = OFF
+        frontier = [start]
+        while via[goal] == FREE:
+            if not frontier:
+                return None
+            nxt = []
+            for c in frontier:
+                for i, d in indexed:
+                    n = c + d
+                    if via[n] == FREE:
+                        via[n] = i
+                        nxt.append(n)
+            frontier = nxt
         path: Trajectory = []
-        cur = goal
-        while cur != start:
-            prev, action = parents[cur]
-            path.append((action, cur))
-            cur = prev
+        (x, y), c = self.goal, goal
+        while c != start:
+            i = via[c]
+            action, dx, dy = _STEPS[i]
+            path.append((action, (x, y)))
+            x, y, c = x - dx, y - dy, c - steps[i]
         return tuple(reversed(path))
 
     @cached_property
     def _complexity(self) -> float:
         """``stats.complexity``, computed on first use and kept on the spec."""
-        states = path_states(self, optimal_path(self))
-        return sum(math.log(len(valid_actions(self, s))) for s in states[:-1])
+        board, steps = self.board, neighbour_steps(self.size_y)
+        cells = map(self.cell, path_states(self, optimal_path(self))[:-1])
+        return sum(math.log([board[c + d] for d in steps].count(FREE)) for c in cells)
 
     def free_cells(self) -> list[Position]:
         """All free cells in lexicographic order."""
-        return [
-            (x, y)
-            for x in range(self.min_x, self.max_x + 1)
-            for y in range(self.min_y, self.max_y + 1)
-            if (x, y) not in self.walls and (x, y) not in self.pits
-        ]
+        where = board_positions(self.min_x, self.min_y, self.size_x, self.size_y)
+        return [where[c] for c, mark in enumerate(self.board) if mark == FREE]
 
     def validate(self) -> None:
         """Raise ValueError on any structural violation.
@@ -245,44 +281,37 @@ class TransitionResult:
 Trajectory = list[tuple[Action, Position]]
 
 
-def _require_standable(spec: GridSpec, pos: Position) -> None:
-    if not spec.in_bounds(pos):
-        raise ValueError(f"position {pos} is out of bounds")
-    if pos in spec.walls:
-        raise ValueError(f"position {pos} is a wall")
-    if pos in spec.pits:
-        raise ValueError(f"position {pos} is a pit")
+_NOT_STANDABLE = {OFF: "out of bounds", WALL: "a wall", PIT: "a pit"}
+_MOVE_KINDS = {FREE: MoveKind.MOVED, PIT: MoveKind.PIT,
+               WALL: MoveKind.BLOCKED_WALL, OFF: MoveKind.BLOCKED_BOUNDS}
+
+
+def _standable_cell(spec: GridSpec, pos: Position) -> int:
+    """The board index of ``pos``; ValueError unless it is a free cell."""
+    c = spec.cell(pos)
+    mark = spec.board[c]
+    if mark != FREE:
+        raise ValueError(f"position {pos} is {_NOT_STANDABLE[mark]}")
+    return c
 
 
 def transition(spec: GridSpec, pos: Position, action: Action) -> TransitionResult:
     """Attempt one move from a free cell."""
-    _require_standable(spec, pos)
+    _standable_cell(spec, pos)
     dest = action.apply(pos)
-    if not spec.in_bounds(dest):
-        return TransitionResult(MoveKind.BLOCKED_BOUNDS)
-    if dest in spec.walls:
-        return TransitionResult(MoveKind.BLOCKED_WALL)
-    if dest in spec.pits:
-        return TransitionResult(MoveKind.PIT, dest)
-    if dest == spec.goal:
-        return TransitionResult(MoveKind.REACHED_GOAL, dest)
-    return TransitionResult(MoveKind.MOVED, dest)
+    mark = spec.board[spec.cell(dest)]
+    kind = MoveKind.REACHED_GOAL if dest == spec.goal else _MOVE_KINDS[mark]
+    return TransitionResult(kind, dest if mark == FREE or mark == PIT else None)
 
 
 def valid_actions(spec: GridSpec, pos: Position) -> list[tuple[Action, Position]]:
     """Moves that enter a free cell (goal included), in canonical action order."""
-    _require_standable(spec, pos)
+    c = _standable_cell(spec, pos)
+    board = spec.board
     x, y = pos
-    min_x, min_y, walls, pits = spec.min_x, spec.min_y, spec.walls, spec.pits
-    max_x, max_y = min_x + spec.size_x - 1, min_y + spec.size_y - 1
-    out = []
-    for action, dx, dy in _STEPS:
-        nx, ny = x + dx, y + dy
-        if min_x <= nx <= max_x and min_y <= ny <= max_y:
-            dest = (nx, ny)
-            if dest not in walls and dest not in pits:
-                out.append((action, dest))
-    return out
+    return [(action, (x + dx, y + dy))
+            for (action, dx, dy), d in zip(_STEPS, neighbour_steps(spec.size_y))
+            if board[c + d] == FREE]
 
 
 def optimal_path(spec: GridSpec) -> Trajectory:
@@ -313,30 +342,17 @@ def count_simple_paths(spec: GridSpec) -> int:
     second simple path must leave the solution and rejoin it by such a
     detour. So the solution is unique iff no region holds two of its cells.
 
-    The flood runs on a flat list over the board and a one-cell border ring,
-    cell ``(x, y)`` at ``(x - min_x + 1) * (size_y + 2) + y - min_y + 1``, so
-    the neighbours of ``c`` are ``c ± 1`` and ``c ± (size_y + 2)``. Each entry
-    is _FREE, _CLOSED (border, wall, pit or already flooded) or the index of
-    a solution cell.
+    The flood marks a copy of the board: each solution cell with its index
+    on the path, each flooded cell closed.
     """
     path = spec._solution
     if path is None:
         return 0
-    min_x, min_y, max_x, max_y = spec.min_x, spec.min_y, spec.max_x, spec.max_y
-    h = spec.size_y + 2
-    ox, oy = min_x - 1, min_y - 1
-    column = [_CLOSED] + [_FREE] * spec.size_y + [_CLOSED]
-    mark = [_CLOSED] * h + column * spec.size_x + [_CLOSED] * h
-    for cells in (spec.walls, spec.pits):
-        for x, y in cells:
-            # an obstacle off the board would index (or, negative, wrap onto) a real cell
-            if min_x <= x <= max_x and min_y <= y <= max_y:
-                mark[(x - ox) * h + y - oy] = _CLOSED
-    roots = [(spec.start[0] - ox) * h + spec.start[1] - oy]
-    roots += [(x - ox) * h + y - oy for _, (x, y) in path]
+    roots = list(map(spec.cell, path_states(spec, path)))
+    mark = list(spec.board)
     for i, root in enumerate(roots):
         mark[root] = i
-    steps = (1, -1, -h, h)
+    steps = neighbour_steps(spec.size_y)
     for i, root in enumerate(roots):
         stack = [root]
         while stack:
@@ -344,8 +360,8 @@ def count_simple_paths(spec: GridSpec) -> int:
             for d in steps:
                 n = c + d
                 j = mark[n]
-                if j == _FREE:
-                    mark[n] = _CLOSED
+                if j == FREE:
+                    mark[n] = OFF
                     stack.append(n)
                 elif j >= 0 and j != i and not (c == root and (j == i - 1 or j == i + 1)):
                     return 2

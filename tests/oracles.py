@@ -96,13 +96,25 @@ def independent_complexity(spec) -> float:
     return total
 
 
+def standable_cells(spec) -> list[tuple]:
+    """Every cell an agent may stand on, in (x, y) order."""
+    return [(x, y) for x in range(spec.min_x, spec.min_x + spec.size_x)
+            for y in range(spec.min_y, spec.min_y + spec.size_y) if _standable(spec, (x, y))]
+
+
+def move_kind(spec, pos, word) -> str:
+    """The MoveKind value of the move ``word`` from ``pos``."""
+    dx, dy = DELTAS[word]
+    cell = (pos[0] + dx, pos[1] + dy)
+    reason = _cut_reason(spec, cell, set())
+    if reason is None:
+        return "reached_goal" if cell == spec.goal else "moved"
+    return {"out_of_bounds": "blocked_bounds", "wall": "blocked_wall", "pit": "pit"}[reason]
+
+
 def is_tree(spec) -> bool:
     """True when the free cells form a single connected acyclic component."""
-    free = set()
-    for x in range(spec.min_x, spec.min_x + spec.size_x):
-        for y in range(spec.min_y, spec.min_y + spec.size_y):
-            if _standable(spec, (x, y)):
-                free.add((x, y))
+    free = set(standable_cells(spec))
     if not free:
         return False
     edges = 0

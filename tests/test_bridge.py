@@ -139,6 +139,26 @@ def test_stdio_double_timeout_aborts(ref_env):
     agent.close("aborted")
 
 
+def test_stdio_close_reaps_an_agent_that_ignores_the_end_message(ref_env, tmp_path):
+    # one reply that is not a move ends the episode; the agent then sleeps
+    # through the end message and its closed stdin, so close must kill it
+    script = tmp_path / "deaf.py"
+    script.write_text(
+        "import sys, time\n"
+        "sys.stdin.readline()\n"
+        "print('{\"text\": \"hello\"}', flush=True)\n"
+        "time.sleep(60)\n"
+    )
+    agent = StdioBridgeAgent(f"python3 {script}", "s-6", timeout=5.0)
+    started = time.monotonic()
+    assert run_episode(ref_env, agent, REACHABLE).outcome is Outcome.INVALID
+    assert agent._proc.returncode is not None  # killed and waited for
+    while not agent._proc.stdout.closed:  # the pump closes it at end of file
+        assert time.monotonic() - started < 30, "the child's stdout stayed open"
+        time.sleep(0.01)
+    assert time.monotonic() - started < 30
+
+
 class _Server:
     """Tiny /act server scripted with a reply function."""
 

@@ -33,6 +33,20 @@ def test_generate_then_verify(tmp_path, capsys):
     assert out.strip().endswith("checked 5 records: 0 violation(s)")
 
 
+def test_generate_count_zero_then_verify(tmp_path, capsys):
+    code, _ = run_cli(gen_args(tmp_path / "data", count=0), capsys)
+    assert code == 0
+    code, out = run_cli(["verify", str(tmp_path / "data")], capsys)
+    assert code == 0
+    assert out.strip() == "checked 0 records: 0 violation(s)"
+
+
+def test_generate_with_bad_sizes_writes_nothing(tmp_path, capsys):
+    with pytest.raises(SystemExit, match="size_min <= size_max"):
+        run_cli(gen_args(tmp_path / "data") + ["--size-min", "6", "--size-max", "3"], capsys)
+    assert not (tmp_path / "data").exists()
+
+
 def test_verify_reports_corruption(tmp_path, capsys):
     run_cli(gen_args(tmp_path, count=2, variant="bwd-none"), capsys)
     shard = tmp_path / "train-bwd-none-0000-of-0001.jsonl"
@@ -277,6 +291,39 @@ def test_verify_reports_a_line_that_is_not_a_record(tmp_path, capsys):
     assert code == 1
     assert out.startswith(f"{shard}:2: ")
     assert out.strip().endswith("checked 3 records: 1 violation(s)")
+
+
+@pytest.mark.parametrize("command", ["verify", "stats", "eval"])
+def test_commands_skip_a_directory_named_like_a_shard(tmp_path, capsys, command):
+    run_cli(gen_args(tmp_path / "data", count=2, variant="bwd-none"), capsys)
+    (tmp_path / "data" / "notes.jsonl").mkdir()
+    argv = {"verify": ["verify", str(tmp_path / "data")],
+            "stats": ["stats", str(tmp_path / "data")],
+            "eval": ["eval", "--test-file", str(tmp_path / "data"), "--agent", "oracle",
+                     "--mode", "reachable"]}[command]
+    code, out = run_cli(argv, capsys)
+    assert code == 0
+    assert {"verify": "checked 2 records: 0 violation(s)", "stats": "records: 2",
+            "eval": "success: 2 "}[command] in out
+
+
+@pytest.mark.parametrize("command", ["verify", "stats", "eval"])
+def test_commands_name_the_line_that_is_not_utf8(tmp_path, capsys, command):
+    run_cli(gen_args(tmp_path, count=3, variant="bwd-none"), capsys)
+    shard = tmp_path / "train-bwd-none-0000-of-0001.jsonl"
+    lines = shard.read_bytes().splitlines()
+    lines[1] = b"\xff" + lines[1]
+    shard.write_bytes(b"\n".join(lines) + b"\n")
+    if command == "verify":
+        code, out = run_cli(["verify", str(shard)], capsys)
+        assert code == 1
+        assert out.startswith(f"{shard}:2: bad JSON: 'utf-8' codec can't decode byte 0xff")
+        assert out.strip().endswith("checked 3 records: 1 violation(s)")
+        return
+    argv = (["stats", str(shard)] if command == "stats" else
+            ["eval", "--test-file", str(shard), "--agent", "oracle", "--mode", "reachable"])
+    with pytest.raises(SystemExit, match=f"^{re.escape(str(shard))}:2: 'utf-8' codec"):
+        run_cli(argv, capsys)
 
 
 def test_eval_names_the_line_of_a_short_wall_cell(tmp_path, capsys):

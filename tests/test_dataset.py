@@ -108,6 +108,20 @@ def test_generate_dataset_rejects_a_negative_count(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+def test_generate_dataset_checks_params_before_writing(tmp_path):
+    with pytest.raises(ValueError, match="size_min <= size_max"):
+        generate_dataset(tmp_path / "out", "train", BWD_NONE, 3, seed=0,
+                         params=replace(TRAIN_PARAMS, size_min=6, size_max=3))
+    assert not (tmp_path / "out").exists()
+
+
+def test_an_empty_dataset_verifies(tmp_path):
+    paths = generate_dataset(tmp_path, "train", FWD_FULL_BT, 0, seed=2, shards=2)
+    assert [p.read_text() for p in paths[:-1]] == ["", ""]
+    report = verify_dataset(tmp_path)
+    assert (report.records, report.violations) == (0, [])
+
+
 def test_shard_ranges():
     assert shard_ranges(10, 3) == [(0, 4), (4, 3), (7, 3)]
     assert shard_ranges(2, 4) == [(0, 1), (1, 1), (2, 0), (2, 0)]
@@ -258,6 +272,35 @@ def test_verify_flags_bad_json_and_duplicates(tmp_path):
     assert report.records == 3
     # violations carry file and line
     assert any(m.startswith(f"{path}:2") for m in messages)
+
+
+def test_verify_flags_a_line_that_is_not_utf8_and_goes_on(tmp_path):
+    params = split_params("train", seed=2)
+    lines = [build_record(params, "train", BWD_NONE, i).to_json_line().encode() for i in range(2)]
+    path = tmp_path / "data.jsonl"
+    path.write_bytes(lines[0] + b"\n" + b'{"index": "\xff"}\n' + lines[1] + b"\n" + b"{oops\n")
+    report = verify_dataset(path)
+    assert report.records == 4
+    assert [(v.line, v.message.split(":")[0]) for v in report.violations] == [
+        (2, "bad JSON"), (4, "bad JSON")]
+    assert "can't decode byte 0xff" in report.violations[0].message
+
+
+def test_loaders_name_the_line_that_is_not_utf8(tmp_path):
+    shard = generate_dataset(tmp_path, "train", BWD_NONE, 2, seed=4)[0]
+    lines = shard.read_bytes().splitlines()
+    shard.write_bytes(lines[0] + b"\n" + lines[1].replace(b'"human"', b'"hum\xe9n"', 1) + b"\n")
+    for load in (load_records, load_specs, stats_from_files):
+        with pytest.raises(ValueError, match=f"^{re.escape(str(shard))}:2: .*can't decode"):
+            load(shard)
+
+
+def test_a_directory_named_like_a_shard_is_not_read(tmp_path):
+    paths = generate_dataset(tmp_path, "train", BWD_NONE, 3, seed=4)
+    (tmp_path / "extra.jsonl").mkdir()
+    assert dataset_files(tmp_path) == paths[:-1]
+    assert verify_dataset(tmp_path).ok
+    assert len(load_records(tmp_path)) == 3
 
 
 def test_load_records_and_specs(tmp_path):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,7 +22,13 @@ from gridmind import (
 from gridmind.generate import TEST_PARAMS, generate_indexed
 
 from conftest import example_env, translate
-from oracles import enumerate_simple_paths, shortest_path_length
+from oracles import (
+    DELTAS,
+    enumerate_simple_paths,
+    move_kind,
+    shortest_path_length,
+    standable_cells,
+)
 
 
 def test_action_order_and_deltas():
@@ -124,14 +131,20 @@ def test_count_simple_paths_limit():
 
 
 @st.composite
-def small_boards(draw):
+def small_boards(draw, off_board=False):
     """Boards up to 5x5 anywhere on [0, 19]^2 with random walls and pits, so
-    cycles and sealed goals occur."""
+    cycles and sealed goals occur. With ``off_board``, obstacles also fall
+    within three cells outside the board, where a step past the ring of the
+    board layout would land if it wrapped."""
     w, h = draw(st.integers(2, 5)), draw(st.integers(2, 5))
     ox, oy = draw(st.integers(0, 20 - w)), draw(st.integers(0, 20 - h))
     cells = [(x, y) for x in range(ox, ox + w) for y in range(oy, oy + h)]
     start, goal = draw(st.lists(st.sampled_from(cells), min_size=2, max_size=2, unique=True))
     obstacles = draw(st.sets(st.sampled_from([c for c in cells if c not in (start, goal)])))
+    if off_board:
+        band = [(x, y) for x in range(ox - 3, ox + w + 3) for y in range(oy - 3, oy + h + 3)
+                if (x, y) not in cells]
+        obstacles |= draw(st.sets(st.sampled_from(band), max_size=12))
     pits = draw(st.sets(st.sampled_from(sorted(obstacles)))) if obstacles else set()
     return GridSpec(min_x=ox, min_y=oy, size_x=w, size_y=h, start=start, goal=goal,
                     walls=frozenset(obstacles - pits), pits=frozenset(pits))
@@ -141,6 +154,38 @@ def small_boards(draw):
 @given(small_boards())
 def test_count_simple_paths_matches_the_oracle(spec):
     assert count_simple_paths(spec) == min(len(enumerate_simple_paths(spec, cap=2)), 2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_boards(off_board=True))
+def test_board_walks_match_the_oracle(spec):
+    free = standable_cells(spec)
+    assert spec.free_cells() == free
+    for pos in free:
+        steps = [(word, (pos[0] + dx, pos[1] + dy)) for word, (dx, dy) in DELTAS.items()]
+        assert [(a.value, dest) for a, dest in valid_actions(spec, pos)] == [
+            (word, dest) for word, dest in steps if dest in free]
+        for action in ACTIONS:
+            assert transition(spec, pos, action).kind.value == move_kind(spec, pos, action.value)
+    length = shortest_path_length(spec)
+    if length is None:
+        with pytest.raises(ValueError):
+            optimal_path(spec)
+    else:
+        assert len(optimal_path(spec)) == length
+    assert count_simple_paths(spec) == min(len(enumerate_simple_paths(spec, cap=2)), 2)
+
+
+@pytest.mark.parametrize("end", ["start", "goal"])
+@pytest.mark.parametrize("cell", [(-1, 1), (1, -1), (3, 1), (1, 3), (0, 5), (0, 8), (2, -4), (9, 9)])
+def test_an_end_off_the_board_has_no_path(end, cell):
+    # unchecked, the index formula would put (0, 5) and (2, -4) on a board
+    # cell of this 3x3 board, (3, 1) and (1, 3) on its ring, (9, 9) past its end
+    spec = replace(GridSpec(min_x=0, min_y=0, size_x=3, size_y=3, start=(0, 0), goal=(2, 2)),
+                   **{end: cell})
+    assert count_simple_paths(spec) == 0
+    with pytest.raises(ValueError):
+        optimal_path(spec)
 
 
 def test_count_simple_paths_ignores_obstacles_off_the_board():
