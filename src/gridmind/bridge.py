@@ -18,8 +18,10 @@ rather than polluting the outcome counts.
 from __future__ import annotations
 
 import json
+import os
 import queue
 import shlex
+import signal
 import subprocess
 import threading
 import urllib.error
@@ -80,7 +82,8 @@ class StdioBridgeAgent(Agent):
     """One subprocess per episode, one JSON object per line each way.
 
     The process is spawned lazily on the first turn so spawn failures abort
-    the episode like any other transport fault.
+    the episode like any other transport fault. It leads its own process
+    group, so a ``close`` that has to kill it kills whatever it started too.
     """
 
     def __init__(self, command: str, session: str, timeout: float = DEFAULT_TIMEOUT):
@@ -100,6 +103,7 @@ class StdioBridgeAgent(Agent):
                 stdout=subprocess.PIPE,
                 text=True,
                 bufsize=1,
+                start_new_session=True,
             )
         except OSError as exc:
             raise AgentTransportError(f"cannot spawn {self._command}: {exc}") from exc
@@ -145,7 +149,7 @@ class StdioBridgeAgent(Agent):
             self._proc.stdin.close()
             self._proc.wait(timeout=2)
         except (OSError, subprocess.TimeoutExpired):
-            self._proc.kill()
+            os.killpg(self._proc.pid, signal.SIGKILL)
             self._proc.wait()
 
 

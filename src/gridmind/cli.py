@@ -19,7 +19,6 @@ from .dataset import (
     SPLITS,
     generate_dataset,
     load_specs,
-    sidecar_text,
     split_params,
     stats_from_files,
     verify_dataset,
@@ -33,7 +32,7 @@ from .harness import (
     plans_agent_factory,
     scripted_agent_factory,
 )
-from .stats import METRICS, export_heatmap
+from .stats import METRICS, export_heatmap, sidecar_text
 
 SEED_ENV_VAR = "GRIDMIND_SEED"
 
@@ -201,7 +200,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, OSError) as exc:
         raise SystemExit(str(exc))
 
 

@@ -19,7 +19,7 @@ from .cogmap import VARIANT_NAMES, CotVariant, join_reply, render_parts
 from .generate import GenParams, TEST_PARAMS, TRAIN_PARAMS, generate_indexed
 from .grid import GridSpec, count_simple_paths, optimal_path
 from .prompts import GPT, PromptText, render_instruction
-from .stats import METRICS, StatsReport, complexity, record_metrics
+from .stats import METRICS, StatsReport, complexity, record_metrics, sidecar_text
 
 TRAIN = "train"
 TEST = "test"
@@ -144,27 +144,6 @@ def sidecar_name(split: str, variant_name: str) -> str:
 
 
 SIDECAR_NAMES = frozenset(sidecar_name(s, v) for s in SPLITS for v in VARIANT_NAMES)
-
-
-def sidecar_text(stats: StatsReport) -> str:
-    """The stats sidecar ``generate`` writes and ``verify`` expects, byte for byte.
-
-    These are the bytes of ``json.dumps(stats.to_json_dict(), indent=2) + "\\n"``,
-    made in under half the time of json's pure-Python indenting encoder;
-    ``verify`` renders one per sidecar it checks.
-    """
-    return _indented(stats.to_json_dict(), "\n") + "\n"
-
-
-def _indented(obj: dict, pad: str) -> str:
-    """``json.dumps(obj, indent=2)`` for nested dicts of plain-text keys and
-    finite numbers or None, so ``repr`` spells each number as json does."""
-    if not obj:
-        return "{}"
-    inner = pad + "  "
-    items = (f'"{k}": {_indented(v, inner) if type(v) is dict else "null" if v is None else repr(v)}'
-             for k, v in obj.items())
-    return "{" + inner + ("," + inner).join(items) + pad + "}"
 
 
 def generate_dataset(

@@ -174,7 +174,10 @@ class GridSpec:
         """``stats.complexity``, computed on first use and kept on the spec."""
         board, steps = self.board, neighbour_steps(self.size_y)
         cells = map(self.cell, path_states(self, optimal_path(self))[:-1])
-        return sum(math.log([board[c + d] for d in steps].count(FREE)) for c in cells)
+        total = 0.0  # left to right, never sum(): see the stats module
+        for c in cells:
+            total += math.log([board[c + d] for d in steps].count(FREE))
+        return total
 
     def free_cells(self) -> list[Position]:
         """All free cells in lexicographic order."""

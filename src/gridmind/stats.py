@@ -1,21 +1,26 @@
-"""Path complexity, dataset aggregates, and heatmap export.
+"""Path complexity, dataset aggregates, the stats sidecar, and heatmaps.
 
 Complexity measures how much choice the solution path offers: the sum over
 its states (goal excluded) of the natural log of the number of valid moves.
 A corridor contributes nothing; every binary fork adds ln 2 (about 0.69).
 
-Aggregates are grouped per (size_x, size_y) cell. Their counts, minima and
-maxima merge exactly in any order, but a float total does not: float
-addition is not associative, so its last bits depend on the order of the
-additions. Records are therefore added in index order, which keeps the stats
-sidecar byte-identical across reruns. Heatmaps are written as a CSV matrix and
-a standalone SVG with the training size range outlined in red.
+Aggregates are grouped per (size_x, size_y) cell, and each cell is one flat
+list ``[count, totals, minima, maxima]`` whose three lists follow METRICS
+order. Counts, minima and maxima merge exactly in any order, but a float
+total does not: float addition is not associative, so its last bits depend
+on the order of the additions. Every total therefore starts at 0.0 and takes
+its values one at a time, records in index order and cells in insertion
+order. ``sum()`` is never used for a float: from Python 3.12 on it adds with
+compensation and rounds differently, and the sidecar bytes must not depend
+on the interpreter. Heatmaps are written as a CSV matrix and a standalone
+SVG with the training size range outlined in red.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+from collections import defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -30,6 +35,7 @@ METRICS = (
     "thought_words",
     "plan_words",
 )
+_SLOTS = range(len(METRICS))
 
 
 def complexity(spec: GridSpec) -> float:
@@ -40,99 +46,85 @@ def complexity(spec: GridSpec) -> float:
     return spec._complexity
 
 
-@dataclass
-class MetricAgg:
-    """Count, total, min and max of one metric.
+def _empty_cell() -> list:
+    return [0, [0.0] * len(METRICS), [math.inf] * len(METRICS), [-math.inf] * len(METRICS)]
 
-    ``merge`` is exact for count, min and max; the float ``total`` of a merge
-    can differ in its last bits from adding the same values one by one.
-    """
 
-    count: int = 0
-    total: float = 0.0
-    vmin: float = math.inf
-    vmax: float = -math.inf
+def _fold(cell: list, count: int, totals, minima, maxima) -> None:
+    """Fold ``count`` values with these totals and extremes into ``cell`` in place."""
+    cell[0] += count
+    _, cell_totals, cell_minima, cell_maxima = cell
+    for i in _SLOTS:
+        cell_totals[i] += totals[i]
+        if minima[i] < cell_minima[i]:
+            cell_minima[i] = minima[i]
+        if maxima[i] > cell_maxima[i]:
+            cell_maxima[i] = maxima[i]
 
-    def add(self, value: float) -> None:
-        self.count += 1
-        self.total += value
-        if value < self.vmin:
-            self.vmin = value
-        if value > self.vmax:
-            self.vmax = value
 
-    def merge(self, other: "MetricAgg") -> None:
-        self.count += other.count
-        self.total += other.total
-        if other.vmin < self.vmin:
-            self.vmin = other.vmin
-        if other.vmax > self.vmax:
-            self.vmax = other.vmax
-
-    @property
-    def mean(self) -> float | None:
-        return self.total / self.count if self.count else None
-
-    def to_dict(self) -> dict:
-        return {
-            "count": self.count,
-            "mean": self.mean,
-            "min": self.vmin if self.count else None,
-            "max": self.vmax if self.count else None,
-            "total": self.total,
+def _metric_dicts(cell: list) -> dict:
+    count, totals, minima, maxima = cell
+    return {
+        metric: {
+            "count": count,
+            "mean": total / count if count else None,
+            "min": vmin if count else None,
+            "max": vmax if count else None,
+            "total": total,
         }
+        for metric, total, vmin, vmax in zip(METRICS, totals, minima, maxima)
+    }
 
 
 @dataclass
 class StatsReport:
-    """Per-size-cell aggregates for every metric in METRICS."""
+    """Per-size-cell aggregates: ``cells[(size_x, size_y)] = [count, totals, minima, maxima]``."""
 
-    cells: dict[tuple[int, int], dict[str, MetricAgg]] = field(default_factory=dict)
+    cells: dict[tuple[int, int], list] = field(default_factory=lambda: defaultdict(_empty_cell))
 
-    def _cell(self, size_x: int, size_y: int) -> dict[str, MetricAgg]:
-        key = (size_x, size_y)
-        if key not in self.cells:
-            self.cells[key] = {m: MetricAgg() for m in METRICS}
-        return self.cells[key]
-
-    def add(self, size_x: int, size_y: int, values: dict[str, float]) -> None:
-        cell = self._cell(size_x, size_y)
-        for metric, value in values.items():
-            cell[metric].add(value)
+    def add(self, size_x: int, size_y: int, row: tuple[float, ...]) -> None:
+        """Add one record's metric row, in METRICS order."""
+        _fold(self.cells[(size_x, size_y)], 1, row, row, row)
 
     def merge(self, other: "StatsReport") -> "StatsReport":
-        for key, metrics in other.cells.items():
-            cell = self._cell(*key)
-            for metric, agg in metrics.items():
-                cell[metric].merge(agg)
+        for key, cell in other.cells.items():
+            _fold(self.cells[key], *cell)
         return self
 
-    def overall(self, metric: str) -> MetricAgg:
-        """Merge of the metric's aggregates across all cells."""
-        if metric not in METRICS:
-            raise ValueError(f"unknown metric {metric!r}")
-        total = MetricAgg()
-        for metrics in self.cells.values():
-            total.merge(metrics[metric])
-        return total
-
-    @property
-    def count(self) -> int:
-        return sum(m["complexity"].count for m in self.cells.values())
-
     def to_json_dict(self) -> dict:
+        overall = _empty_cell()
+        for cell in self.cells.values():
+            _fold(overall, *cell)
         return {
-            "count": self.count,
-            "overall": {m: self.overall(m).to_dict() for m in METRICS},
-            "cells": {
-                f"{x}x{y}": {m: agg.to_dict() for m, agg in metrics.items()}
-                for (x, y), metrics in sorted(self.cells.items())
-            },
+            "count": overall[0],
+            "overall": _metric_dicts(overall),
+            "cells": {f"{x}x{y}": _metric_dicts(c) for (x, y), c in sorted(self.cells.items())},
         }
 
 
-def record_metrics(record) -> tuple[int, int, dict[str, float]]:
-    """Extract (size_x, size_y, metric values) from a record object or dict.
+def sidecar_text(stats: StatsReport) -> str:
+    """The stats sidecar ``generate`` writes and ``verify`` expects, byte for byte.
+
+    These are the bytes of ``json.dumps(stats.to_json_dict(), indent=2) + "\\n"``,
+    made in under half the time of json's pure-Python indenting encoder;
+    ``verify`` renders one per sidecar it checks.
+    """
+    return _indented(stats.to_json_dict(), "\n") + "\n"
+
+
+def _indented(obj: dict, pad: str) -> str:
+    """``json.dumps(obj, indent=2)`` for nested dicts of plain-text keys and
+    finite numbers or None, so ``repr`` spells each number as json does."""
+    if not obj:
+        return "{}"
+    inner = pad + "  "
+    items = (f'"{k}": {_indented(v, inner) if type(v) is dict else "null" if v is None else repr(v)}'
+             for k, v in obj.items())
+    return "{" + inner + ("," + inner).join(items) + pad + "}"
+
+
+def record_metrics(record) -> tuple[int, int, tuple[float, ...]]:
+    """Extract (size_x, size_y, metric row in METRICS order) from a record object or dict.
 
     The sizes and lengths must be exactly ints and the complexity a finite
     float; anything else raises ValueError. The record decoder relies on
@@ -150,16 +142,16 @@ def record_metrics(record) -> tuple[int, int, dict[str, float]]:
             lengths = record.lengths
         if type(comp) is not float or not math.isfinite(comp):
             raise TypeError(f"complexity {comp!r} is not a finite float")
-        values = {"complexity": comp}
+        row = [comp]
         for metric in METRICS[1:]:
             if type(n := lengths[metric]) is not int:
                 raise TypeError(f"lengths hold a value that is not an int: {metric}={n!r}")
-            values[metric] = float(n)
+            row.append(float(n))
         if type(size_x) is not int or type(size_y) is not int:
             raise TypeError(f"size {size_x!r}x{size_y!r} is not a pair of ints")
     except (KeyError, AttributeError, TypeError, OverflowError) as exc:
         raise ValueError(f"record does not match the dataset schema: {exc}") from exc
-    return size_x, size_y, values
+    return size_x, size_y, tuple(row)
 
 
 TRAIN_SIZE_RANGE = (2, 10)
@@ -182,11 +174,8 @@ def export_heatmap(
     lo_s, hi_s = HEATMAP_SIZE_RANGE
     sizes = range(lo_s, hi_s + 1)
 
-    means: dict[tuple[int, int], float] = {}
-    for (x, y), metrics in report.cells.items():
-        agg = metrics[metric]
-        if agg.count:
-            means[(x, y)] = agg.mean
+    i = METRICS.index(metric)
+    means = {key: totals[i] / count for key, (count, totals, _, _) in report.cells.items() if count}
 
     csv_path = out / f"{metric}.csv"
     with open(csv_path, "w", newline="") as fh:

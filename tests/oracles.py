@@ -10,10 +10,12 @@ from __future__ import annotations
 import heapq
 import math
 import re
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from gridmind.cogmap import PlanParseError
 from gridmind.grid import ACTION_BY_WORD
+from gridmind.stats import METRICS
 
 # word -> coordinate delta, in the documented up/down/left/right order
 DELTAS = {"up": (0, 1), "down": (0, -1), "left": (-1, 0), "right": (1, 0)}
@@ -355,3 +357,79 @@ def _parse_after_steps(lines, step_idx):
         raise PlanParseError("no plan after the thought", base + max(i, 1))
     plan = _actions_or_raise(tail[i:], base + i)
     return "\n".join(lines[: base + i]), plan
+
+
+@dataclass
+class MetricAgg:
+    """Count, total, min and max of one metric, each metric on its own."""
+
+    count: int = 0
+    total: float = 0.0
+    vmin: float = math.inf
+    vmax: float = -math.inf
+
+    def add(self, value: float) -> None:
+        self.count += 1
+        self.total += value
+        if value < self.vmin:
+            self.vmin = value
+        if value > self.vmax:
+            self.vmax = value
+
+    def merge(self, other: "MetricAgg") -> None:
+        self.count += other.count
+        self.total += other.total
+        if other.vmin < self.vmin:
+            self.vmin = other.vmin
+        if other.vmax > self.vmax:
+            self.vmax = other.vmax
+
+    def to_dict(self) -> dict:
+        return {
+            "count": self.count,
+            "mean": self.total / self.count if self.count else None,
+            "min": self.vmin if self.count else None,
+            "max": self.vmax if self.count else None,
+            "total": self.total,
+        }
+
+
+@dataclass
+class ReferenceStats:
+    """The per-size aggregate as one MetricAgg per metric per cell, keyed by
+    metric name, with ``overall`` merged across cells in insertion order."""
+
+    cells: dict[tuple[int, int], dict[str, MetricAgg]] = field(default_factory=dict)
+
+    def _cell(self, key) -> dict[str, MetricAgg]:
+        if key not in self.cells:
+            self.cells[key] = {m: MetricAgg() for m in METRICS}
+        return self.cells[key]
+
+    def add(self, size_x: int, size_y: int, values: dict[str, float]) -> None:
+        cell = self._cell((size_x, size_y))
+        for metric, value in values.items():
+            cell[metric].add(value)
+
+    def merge(self, other: "ReferenceStats") -> "ReferenceStats":
+        for key, metrics in other.cells.items():
+            cell = self._cell(key)
+            for metric, agg in metrics.items():
+                cell[metric].merge(agg)
+        return self
+
+    def overall(self, metric: str) -> MetricAgg:
+        total = MetricAgg()
+        for metrics in self.cells.values():
+            total.merge(metrics[metric])
+        return total
+
+    def to_json_dict(self) -> dict:
+        return {
+            "count": self.overall("complexity").count,
+            "overall": {m: self.overall(m).to_dict() for m in METRICS},
+            "cells": {
+                f"{x}x{y}": {m: agg.to_dict() for m, agg in metrics.items()}
+                for (x, y), metrics in sorted(self.cells.items())
+            },
+        }

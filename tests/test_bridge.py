@@ -159,6 +159,20 @@ def test_stdio_close_reaps_an_agent_that_ignores_the_end_message(ref_env, tmp_pa
     assert time.monotonic() - started < 30
 
 
+def test_stdio_close_kills_the_agents_whole_process_group(ref_env):
+    # the shell waits on a sleep that holds the stdout pipe too, so the pipe
+    # reaches end of file only once both have died; the dead sleep is then
+    # init's to reap, and may linger as a zombie that killpg still finds
+    agent = StdioBridgeAgent("sh -c 'sleep 30; true'", "s-7", timeout=0.2)
+    with pytest.raises(AgentTransportError, match="timed out twice"):
+        agent.respond(render_instruction(ref_env))
+    agent.close("aborted")
+    closed = time.monotonic()
+    while not agent._proc.stdout.closed:  # the pump closes it at end of file
+        assert time.monotonic() - closed < 1, "a grandchild kept the stdout pipe open"
+        time.sleep(0.01)
+
+
 class _Server:
     """Tiny /act server scripted with a reply function."""
 

@@ -377,6 +377,25 @@ def test_missing_path_is_reported(tmp_path, capsys, command):
         run_cli([command, str(missing)], capsys)
 
 
+@pytest.mark.parametrize("case", ["generate-out-file", "stats-out-file", "eval-report-dir"])
+def test_an_unusable_output_path_exits_with_its_name(case, tmp_path, capsys):
+    run_cli(gen_args(tmp_path / "data", count=2, variant="bwd-none"), capsys)
+    taken = tmp_path / "taken"
+    if case == "eval-report-dir":
+        taken.mkdir()
+        argv = ["eval", "--test-file", str(tmp_path / "data"), "--agent", "oracle",
+                "--mode", "optimal", "--report", str(taken)]
+    else:
+        taken.write_text("")
+        argv = gen_args(taken) if case == "generate-out-file" else [
+            "stats", str(tmp_path / "data"), "--out", str(taken)]
+    # SystemExit with a message, not an OSError's traceback
+    with pytest.raises(SystemExit) as exit_info:
+        run_cli(argv, capsys)
+    assert isinstance(exit_info.value.code, str)  # printed, exit status 1
+    assert str(taken) in exit_info.value.code
+
+
 def test_cli_rejects_unknown_variant(tmp_path, capsys):
     with pytest.raises(SystemExit):
         run_cli(gen_args(tmp_path, variant="sideways"), capsys)

@@ -25,13 +25,13 @@ from gridmind.dataset import (
     load_records,
     load_specs,
     shard_ranges,
-    sidecar_text,
     split_params,
     stats_from_files,
     verify_dataset,
 )
 from gridmind.generate import TRAIN_PARAMS
 from gridmind.grid import GridSpec
+from gridmind.stats import sidecar_text
 
 FWD_FULL_BT = CotVariant.from_name("fwd-full-bt")
 BWD_NONE = CotVariant.from_name("bwd-none")

@@ -5,15 +5,16 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from gridmind import GridSpec, StatsReport, complexity, export_heatmap
-from gridmind.dataset import build_record, sidecar_text
+from gridmind import GridSpec, StatsReport, complexity, export_heatmap, grid
+from gridmind.dataset import build_record
 from gridmind.cogmap import CotVariant
 from gridmind.generate import TEST_PARAMS, TRAIN_PARAMS, generate_indexed
-from gridmind.stats import METRICS, MetricAgg, record_metrics
+from gridmind.stats import METRICS, record_metrics, sidecar_text
 
 from conftest import translate
-from oracles import independent_complexity
+from oracles import ReferenceStats, independent_complexity
 
 
 def test_reference_environment_is_five_forks(ref_env):
@@ -62,31 +63,55 @@ def test_extra_branch_raises_complexity():
     assert complexity(forked) > complexity(corridor)
 
 
-def test_metric_agg_basics():
-    agg = MetricAgg()
-    assert agg.mean is None
-    for v in (2.0, 4.0, 9.0):
-        agg.add(v)
-    assert agg.count == 3
-    assert agg.mean == pytest.approx(5.0)
-    assert agg.vmin == 2.0 and agg.vmax == 9.0
-    assert agg.to_dict() == {"count": 3, "mean": 5.0, "min": 2.0, "max": 9.0, "total": 15.0}
+def _compensated_sum(values, start=0):
+    """Neumaier's compensated sum, as Python 3.12+ ``sum()`` adds floats."""
+    total, compensation = float(start), 0.0
+    for v in values:
+        t = total + v
+        if abs(total) >= abs(v):
+            compensation += (total - t) + v
+        else:
+            compensation += (v - t) + total
+        total = t
+    return total + compensation
 
 
-def test_merge_is_associative_and_order_free():
-    values = [(3, 4, 1.5), (3, 4, 2.5), (5, 6, 10.0), (5, 6, 0.5), (3, 4, 7.0)]
+def test_complexity_does_not_depend_on_the_interpreters_sum(monkeypatch):
+    plain = [complexity(generate_indexed(TEST_PARAMS, i)) for i in range(200)]
+    monkeypatch.setattr(grid, "sum", _compensated_sum, raising=False)
+    assert [complexity(generate_indexed(TEST_PARAMS, i)) for i in range(200)] == plain
 
-    def make(chunk):
-        report = StatsReport()
-        for x, y, v in chunk:
-            report.add(x, y, {"complexity": v})
-        return report
 
-    combined_a = make(values[:2]).merge(make(values[2:]))
-    combined_b = make(values[:4]).merge(make(values[4:]))
-    whole = make(values)
-    assert combined_a.to_json_dict() == whole.to_json_dict()
-    assert combined_b.to_json_dict() == whole.to_json_dict()
+# -0.0, ties and repeated extremes come from the small pool
+_VALUES = st.one_of(
+    st.sampled_from([-0.0, 0.0, 0.1, 0.2, 0.3, 1.0, 7.0]),
+    st.floats(-1e6, 1e6, allow_nan=False),
+)
+_CELLS = st.sampled_from([(2, 2), (9, 4), (4, 9), (20, 20)])
+_ROWS = st.lists(st.tuples(_CELLS, st.tuples(*[_VALUES] * len(METRICS))), max_size=30)
+
+
+def _both(rows):
+    flat, reference = StatsReport(), ReferenceStats()
+    for (x, y), row in rows:
+        flat.add(x, y, row)
+        reference.add(x, y, dict(zip(METRICS, row)))
+    return flat, reference
+
+
+def _reference_text(reference):
+    return json.dumps(reference.to_json_dict(), indent=2) + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ROWS, st.integers(0, 30), st.booleans())
+def test_flat_aggregate_matches_the_reference(rows, cut, one_cell):
+    if one_cell:
+        rows = [((5, 6), row) for _, row in rows]
+    flat, reference = _both(rows)
+    assert sidecar_text(flat) == _reference_text(reference)
+    (flat_head, ref_head), (flat_tail, ref_tail) = _both(rows[:cut]), _both(rows[cut:])
+    assert sidecar_text(flat_head.merge(flat_tail)) == _reference_text(ref_head.merge(ref_tail))
 
 
 def test_report_json_round_trip():
@@ -109,18 +134,16 @@ def test_record_metrics_accepts_dicts_and_objects():
     from_obj = record_metrics(record)
     from_dict = record_metrics(record.to_json_dict())
     assert from_obj == from_dict
-    assert from_obj[0] == record.spec.size_x
+    size_x, size_y, row = from_obj
+    assert (size_x, size_y) == (record.spec.size_x, record.spec.size_y)
+    assert type(row) is tuple and len(row) == len(METRICS)
+    assert all(type(v) is float for v in row)
+    assert row[0] == record.complexity
     # a silent variant's whole reply is the plan
-    assert from_obj[2]["thought_chars"] == 0
-    assert from_obj[2]["plan_chars"] == len(record.conversation[-1].text)
+    assert row[METRICS.index("thought_chars")] == 0
+    assert row[METRICS.index("plan_chars")] == len(record.conversation[-1].text)
     with pytest.raises(ValueError):
         record_metrics({"nope": 1})
-
-
-def test_overall_rejects_unknown_metric():
-    report = StatsReport()
-    with pytest.raises(ValueError):
-        report.overall("speed")
 
 
 def test_dataset_stats_and_heatmap_export(tmp_path):
@@ -131,7 +154,7 @@ def test_dataset_stats_and_heatmap_export(tmp_path):
     report = StatsReport()
     for record in records:
         report.add(*record_metrics(record))
-    assert report.count == 30
+    assert report.to_json_dict()["count"] == 30
 
     files = export_heatmap(report, "complexity", tmp_path)
     assert [p.name for p in files] == ["complexity.csv", "complexity.svg"]
@@ -156,9 +179,9 @@ def test_dataset_stats_and_heatmap_export(tmp_path):
 
 def test_heatmap_values_match_report(tmp_path):
     report = StatsReport()
-    report.add(4, 7, {m: 1.0 for m in METRICS})
-    report.add(4, 7, {m: 2.0 for m in METRICS})
-    report.add(12, 3, {m: 8.0 for m in METRICS})
+    report.add(4, 7, (1.0,) * len(METRICS))
+    report.add(4, 7, (2.0,) * len(METRICS))
+    report.add(12, 3, (8.0,) * len(METRICS))
     csv_path, _ = export_heatmap(report, "complexity", tmp_path)
     with open(csv_path, newline="") as fh:
         rows = list(csv.reader(fh))
