@@ -63,6 +63,36 @@ def test_extra_branch_raises_complexity():
     assert complexity(forked) > complexity(corridor)
 
 
+def test_metric_agg_basics():
+    report = StatsReport()
+    assert report.to_json_dict()["overall"]["complexity"]["mean"] is None
+    for v in (2.0, 4.0, 9.0):
+        report.add(3, 4, (v,) * len(METRICS))
+    cell = report.to_json_dict()["cells"]["3x4"]
+    assert set(cell) == set(METRICS)
+    for metric in METRICS:
+        assert cell[metric] == {"count": 3, "mean": 5.0, "min": 2.0, "max": 9.0, "total": 15.0}
+
+
+def test_merge_is_associative_and_order_free():
+    # these values sum exactly in floats, so every grouping gives the same bytes
+    values = [(3, 4, 1.5), (3, 4, 2.5), (5, 6, 10.0), (5, 6, 0.5), (3, 4, 7.0)]
+
+    def make(chunk):
+        report = StatsReport()
+        for x, y, v in chunk:
+            report.add(x, y, (v,) * len(METRICS))
+        return report
+
+    combined_a = make(values[:2]).merge(make(values[2:]))
+    combined_b = make(values[:4]).merge(make(values[4:]))
+    combined_c = make(values[4:]).merge(make(values[:4]))
+    whole = make(values)
+    assert combined_a.to_json_dict() == whole.to_json_dict()
+    assert combined_b.to_json_dict() == whole.to_json_dict()
+    assert combined_c.to_json_dict() == whole.to_json_dict()
+
+
 def _compensated_sum(values, start=0):
     """Neumaier's compensated sum, as Python 3.12+ ``sum()`` adds floats."""
     total, compensation = float(start), 0.0
