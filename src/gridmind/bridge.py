@@ -4,74 +4,54 @@ Each turn sends one request object::
 
     {"session": "<id>", "messages": [{"role": "human"|"gpt", "text": "..."}, ...]}
 
-and expects one reply object ``{"text": "..."}``. When the episode closes,
-a ``{"type": "end", "session": "<id>", "outcome": "..."}`` notification is
-sent on a best-effort basis. Two transports carry the protocol: a subprocess
-speaking one JSON object per line on stdin/stdout, and an HTTP server
-accepting POSTs on /act. A timed-out HTTP request is sent once more; a
-stdio request is waited for once more but never resent, since on an ordered
-pipe its late reply would then answer the next turn. A second timeout, a
-dead peer, or a malformed reply aborts the episode via AgentTransportError
-rather than polluting the outcome counts.
+and expects one UTF-8 reply object ``{"text": "..."}`` of at most
+``MAX_REPLY_BYTES``. A best-effort ``{"type": "end", "session": "<id>",
+"outcome": "..."}`` notice closes the episode. A subprocess carries the
+protocol as one JSON object per line on stdin/stdout (POSIX only), an HTTP
+server as POSTs on /act. A timed-out HTTP request is sent once more. A stdio
+turn writes and reads under one deadline of two timeouts and never resends,
+since on an ordered pipe a late reply would then answer the next turn. A
+second timeout, a dead peer, or a malformed or oversized reply aborts the
+episode via AgentTransportError rather than polluting the outcome counts.
 """
 
 from __future__ import annotations
 
+import http.client
 import json
 import os
-import queue
+import select
 import shlex
 import signal
 import subprocess
 import threading
-import urllib.error
+import time
 import urllib.request
-from dataclasses import dataclass
+from contextlib import suppress
 
 from .harness import Agent, AgentTransportError
 from .prompts import PromptText
 
 DEFAULT_TIMEOUT = 30.0
 
-STDIO = "stdio"
-HTTP = "http"
+# the most agent output held before a reply: the longest target reply,
+# JSON-encoded, is ~15 KB, and a fully probed 20x20 board stays under 64 KiB
+MAX_REPLY_BYTES = 1 << 20
 
 
-@dataclass(frozen=True)
-class AgentEndpoint:
-    """Where an external agent lives: transport plus address."""
-
-    transport: str
-    address: str
-    timeout: float = DEFAULT_TIMEOUT
-
-    @classmethod
-    def parse(cls, text: str, timeout: float = DEFAULT_TIMEOUT) -> "AgentEndpoint":
-        # a stdio turn waits 2 * timeout, and the wait must fit a thread lock
-        limit = threading.TIMEOUT_MAX / 2
-        if not 0 < timeout <= limit:
-            raise ValueError(f"timeout must be a positive number of seconds up to {limit:.0f}, "
-                             f"got {timeout}")
-        if text.startswith(("http://", "https://")):
-            return cls(HTTP, text, timeout)
-        if text.startswith("stdio:"):
-            command = text[len("stdio:"):]
-            if not command.strip():
-                raise ValueError("stdio endpoint needs a command")
-            return cls(STDIO, command, timeout)
-        raise ValueError(
-            f"bad endpoint {text!r}: expected http(s)://... or stdio:<command>"
-        )
+def _encode(obj: dict) -> bytes:
+    return json.dumps(obj, separators=(",", ":")).encode()
 
 
 def _messages(transcript: list[PromptText]) -> list[dict]:
     return [{"role": t.role, "text": t.text} for t in transcript]
 
 
-def _parse_reply(raw: str) -> str:
+def _parse_reply(raw: bytes) -> str:
+    # decoded here: json.loads(bytes) would also accept UTF-16 and UTF-32
     try:
-        obj = json.loads(raw)
-    except json.JSONDecodeError as exc:
+        obj = json.loads(raw.decode("utf-8"))
+    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError
         raise AgentTransportError(f"malformed reply: {exc}") from exc
     if not isinstance(obj, dict) or not isinstance(obj.get("text"), str):
         raise AgentTransportError(f"reply lacks a text field: {raw!r}")
@@ -83,7 +63,8 @@ class StdioBridgeAgent(Agent):
 
     The process is spawned lazily on the first turn so spawn failures abort
     the episode like any other transport fault. It leads its own process
-    group, so a ``close`` that has to kill it kills whatever it started too.
+    group, which ``close`` kills so that nothing it started outlives it.
+    Bytes read past a reply's newline are kept for the next turn.
     """
 
     def __init__(self, command: str, session: str, timeout: float = DEFAULT_TIMEOUT):
@@ -91,66 +72,69 @@ class StdioBridgeAgent(Agent):
         self._session = session
         self._timeout = timeout
         self._proc: subprocess.Popen | None = None
-        self._lines: queue.Queue[str | None] = queue.Queue()
+        self._buffer = bytearray()
 
     def _ensure_started(self) -> None:
         if self._proc is not None:
             return
         try:
-            self._proc = subprocess.Popen(
-                self._command,
-                stdin=subprocess.PIPE,
-                stdout=subprocess.PIPE,
-                text=True,
-                bufsize=1,
-                start_new_session=True,
-            )
+            self._proc = subprocess.Popen(self._command, stdin=subprocess.PIPE,
+                                          stdout=subprocess.PIPE, start_new_session=True)
         except OSError as exc:
             raise AgentTransportError(f"cannot spawn {self._command}: {exc}") from exc
+        os.set_blocking(self._proc.stdin.fileno(), False)
 
-        def pump(stream, lines):
-            with stream:
-                for line in stream:
-                    lines.put(line)
-            lines.put(None)
-
-        threading.Thread(
-            target=pump, args=(self._proc.stdout, self._lines), daemon=True
-        ).start()
-
-    def _send(self, obj: dict) -> None:
-        assert self._proc is not None and self._proc.stdin is not None
-        self._proc.stdin.write(json.dumps(obj, separators=(",", ":")) + "\n")
-        self._proc.stdin.flush()
+    def _exchange(self, request: bytes) -> bytes:
+        """Write ``request`` and read one reply line, within two timeouts."""
+        deadline = time.monotonic() + 2 * self._timeout
+        stdin, stdout = self._proc.stdin.fileno(), self._proc.stdout.fileno()
+        while True:
+            end = self._buffer.find(b"\n")
+            if 0 <= end <= MAX_REPLY_BYTES and not request:
+                break
+            if len(self._buffer) > MAX_REPLY_BYTES:  # one long line, or many unasked
+                raise AgentTransportError(f"agent output over the {MAX_REPLY_BYTES}-byte reply cap")
+            left = deadline - time.monotonic()
+            if left <= 0:
+                raise AgentTransportError(f"agent timed out twice after {self._timeout}s")
+            poller = select.poll()
+            poller.register(stdout, select.POLLIN)
+            if request:
+                poller.register(stdin, select.POLLOUT)
+            # sliced, since poll() overflows on the longest wait a timeout allows
+            for fd, _ in poller.poll(1000 * min(left, 3600)):
+                if fd == stdin:
+                    try:  # after POLLOUT a pipe takes at least one byte
+                        request = request[os.write(stdin, request):]
+                    except OSError as exc:
+                        raise AgentTransportError(f"agent pipe closed: {exc}") from exc
+                else:
+                    chunk = os.read(stdout, 1 << 16)
+                    if not chunk:
+                        raise AgentTransportError("agent closed its stdout")
+                    self._buffer += chunk
+        line = bytes(self._buffer[:end])
+        del self._buffer[:end + 1]
+        return line
 
     def respond(self, transcript: list[PromptText]) -> str:
         self._ensure_started()
-        try:
-            self._send({"session": self._session, "messages": _messages(transcript)})
-        except (OSError, ValueError) as exc:
-            raise AgentTransportError(f"agent pipe closed: {exc}") from exc
-        # the one send gets both timeout periods: see the module docstring
-        try:
-            line = self._lines.get(timeout=2 * self._timeout)
-        except queue.Empty:
-            raise AgentTransportError(f"agent timed out twice after {self._timeout}s") from None
-        if line is None:
-            raise AgentTransportError("agent closed its stdout")
-        return _parse_reply(line)
+        request = {"session": self._session, "messages": _messages(transcript)}
+        return _parse_reply(self._exchange(_encode(request) + b"\n"))
 
     def close(self, outcome: str) -> None:
         if self._proc is None:
             return
-        try:
-            self._send({"type": "end", "session": self._session, "outcome": outcome})
-        except (OSError, ValueError):
-            pass
-        try:
-            self._proc.stdin.close()
-            self._proc.wait(timeout=2)
-        except (OSError, subprocess.TimeoutExpired):
-            os.killpg(self._proc.pid, signal.SIGKILL)
-            self._proc.wait()
+        proc, end = self._proc, {"type": "end", "session": self._session, "outcome": outcome}
+        with suppress(OSError):  # sent only if the pipe takes it without waiting
+            os.write(proc.stdin.fileno(), _encode(end) + b"\n")
+        proc.stdin.close()
+        with suppress(subprocess.TimeoutExpired):
+            proc.wait(timeout=2)
+        with suppress(ProcessLookupError):  # a clean exit may leave children behind
+            os.killpg(proc.pid, signal.SIGKILL)
+        proc.wait()
+        proc.stdout.close()
 
 
 class HttpBridgeAgent(Agent):
@@ -162,13 +146,14 @@ class HttpBridgeAgent(Agent):
         self._session = session
         self._timeout = timeout
 
-    def _post(self, obj: dict) -> str:
-        payload = json.dumps(obj, separators=(",", ":")).encode()
-        request = urllib.request.Request(
-            self._url, data=payload, headers={"Content-Type": "application/json"}
-        )
+    def _post(self, obj: dict) -> bytes:
+        request = urllib.request.Request(self._url, data=_encode(obj),
+                                         headers={"Content-Type": "application/json"})
         with urllib.request.urlopen(request, timeout=self._timeout) as response:
-            return response.read().decode()
+            body = response.read(MAX_REPLY_BYTES + 1)
+        if len(body) > MAX_REPLY_BYTES:
+            raise AgentTransportError(f"reply over the {MAX_REPLY_BYTES}-byte reply cap")
+        return body
 
     def respond(self, transcript: list[PromptText]) -> str:
         request = {"session": self._session, "messages": _messages(transcript)}
@@ -176,25 +161,34 @@ class HttpBridgeAgent(Agent):
         for _ in (1, 2):
             try:
                 return _parse_reply(self._post(request))
-            except (urllib.error.URLError, TimeoutError, OSError) as exc:
+            except (http.client.HTTPException, OSError) as exc:  # URLError is an OSError
                 last_error = exc
         raise AgentTransportError(f"agent unreachable: {last_error}") from last_error
 
     def close(self, outcome: str) -> None:
         try:
             self._post({"type": "end", "session": self._session, "outcome": outcome})
-        except (urllib.error.URLError, TimeoutError, OSError, AgentTransportError):
+        except (http.client.HTTPException, OSError, AgentTransportError):
             pass
 
 
 def bridge_agent_factory(endpoint: str, timeout: float = DEFAULT_TIMEOUT):
-    """Factory (spec, index, episode_seed) -> Agent for an endpoint string."""
-    parsed = AgentEndpoint.parse(endpoint, timeout)
+    """Factory (spec, index, episode_seed) -> Agent for ``http(s)://...`` or ``stdio:<cmd>``."""
+    # the same bound as a thread's lock wait, for the two timeouts of a turn
+    limit = threading.TIMEOUT_MAX / 2
+    if not 0 < timeout <= limit:
+        raise ValueError(f"timeout must be a positive number of seconds up to {limit:.0f}, "
+                         f"got {timeout}")
+    if endpoint.startswith(("http://", "https://")):
+        make, address = HttpBridgeAgent, endpoint
+    elif endpoint.startswith("stdio:"):
+        make, address = StdioBridgeAgent, endpoint[len("stdio:"):]
+        if not address.strip():
+            raise ValueError("stdio endpoint needs a command")
+    else:
+        raise ValueError(f"bad endpoint {endpoint!r}: expected http(s)://... or stdio:<command>")
 
     def factory(spec, index: int, episode_seed: int) -> Agent:
-        session = f"ep-{index}"
-        if parsed.transport == HTTP:
-            return HttpBridgeAgent(parsed.address, session, parsed.timeout)
-        return StdioBridgeAgent(parsed.address, session, parsed.timeout)
+        return make(address, f"ep-{index}", timeout)
 
     return factory

@@ -134,6 +134,9 @@ def cmd_verify(args) -> int:
 def cmd_stats(args) -> int:
     if args.heatmap and not args.out:
         raise SystemExit("--heatmap requires --out")
+    out = Path(args.out) if args.out else None
+    if out:  # an unusable directory fails before the dataset is read
+        out.mkdir(parents=True, exist_ok=True)
     report = stats_from_files(args.target)
     summary = report.to_json_dict()
     print(f"records: {summary['count']}")
@@ -144,9 +147,7 @@ def cmd_stats(args) -> int:
                 f"{metric}: mean={agg['mean']:.4f} min={agg['min']:.4f} "
                 f"max={agg['max']:.4f}"
             )
-    if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
+    if out:
         stats_path = out / "stats.json"
         stats_path.write_text(sidecar_text(report))
         print(stats_path)
@@ -169,6 +170,10 @@ def _agent_factory(agent: str, mode: str, timeout: float, episodes: int):
 
 def cmd_eval(args) -> int:
     seed = args.seed if args.seed is not None else default_seed()
+    path = Path(args.report) if args.report else None
+    if path:  # an unusable path fails before the test file is read
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.open("a").close()
     specs = load_specs(args.test_file)
     report = evaluate_batch(
         specs,
@@ -182,9 +187,7 @@ def cmd_eval(args) -> int:
     for outcome, count in payload["counts"].items():
         print(f"{outcome}: {count} ({payload['rates'][outcome]:.1%})")
     print(f"aborted: {payload['aborted']}")
-    if args.report:
-        path = Path(args.report)
-        path.parent.mkdir(parents=True, exist_ok=True)
+    if path:
         path.write_text(json.dumps(payload, indent=2) + "\n")
         print(path)
     return 0

@@ -394,6 +394,8 @@ def test_an_unusable_output_path_exits_with_its_name(case, tmp_path, capsys):
         run_cli(argv, capsys)
     assert isinstance(exit_info.value.code, str)  # printed, exit status 1
     assert str(taken) in exit_info.value.code
+    # and it exits before any work: no outcome count, no records line
+    assert capsys.readouterr().out == ""
 
 
 def test_cli_rejects_unknown_variant(tmp_path, capsys):
