@@ -8,11 +8,13 @@ and expects one UTF-8 reply object ``{"text": "..."}`` of at most
 ``MAX_REPLY_BYTES``. A best-effort ``{"type": "end", "session": "<id>",
 "outcome": "..."}`` notice closes the episode. A subprocess carries the
 protocol as one JSON object per line on stdin/stdout (POSIX only), an HTTP
-server as POSTs on /act. A timed-out HTTP request is sent once more. A stdio
-turn writes and reads under one deadline of two timeouts and never resends,
-since on an ordered pipe a late reply would then answer the next turn. A
-second timeout, a dead peer, or a malformed or oversized reply aborts the
-episode via AgentTransportError rather than polluting the outcome counts.
+server as POSTs on /act. Each turn runs under one deadline of two timeouts.
+A timed-out HTTP request is sent once more, and a reply body still arriving
+at the deadline aborts. A stdio turn writes and reads under the deadline and
+never resends, since on an ordered pipe a late reply would then answer the
+next turn. A second timeout, a dead peer, or a malformed or oversized reply
+aborts the episode via AgentTransportError rather than polluting the outcome
+counts.
 """
 
 from __future__ import annotations
@@ -67,8 +69,8 @@ class StdioBridgeAgent(Agent):
     Bytes read past a reply's newline are kept for the next turn.
     """
 
-    def __init__(self, command: str, session: str, timeout: float = DEFAULT_TIMEOUT):
-        self._command = shlex.split(command)
+    def __init__(self, command: list[str], session: str, timeout: float = DEFAULT_TIMEOUT):
+        self._command = command
         self._session = session
         self._timeout = timeout
         self._proc: subprocess.Popen | None = None
@@ -146,28 +148,35 @@ class HttpBridgeAgent(Agent):
         self._session = session
         self._timeout = timeout
 
-    def _post(self, obj: dict) -> bytes:
+    def _post(self, obj: dict, deadline: float) -> bytes:
+        """POST ``obj``; a reply body not complete by ``deadline`` aborts."""
         request = urllib.request.Request(self._url, data=_encode(obj),
                                          headers={"Content-Type": "application/json"})
+        body = bytearray()
         with urllib.request.urlopen(request, timeout=self._timeout) as response:
-            body = response.read(MAX_REPLY_BYTES + 1)
-        if len(body) > MAX_REPLY_BYTES:
-            raise AgentTransportError(f"reply over the {MAX_REPLY_BYTES}-byte reply cap")
-        return body
+            while chunk := response.read1(1 << 16):
+                body += chunk
+                if len(body) > MAX_REPLY_BYTES:
+                    raise AgentTransportError(f"reply over the {MAX_REPLY_BYTES}-byte reply cap")
+                if time.monotonic() > deadline and not response.isclosed():
+                    raise AgentTransportError(f"reply still arriving after {2 * self._timeout}s")
+        return bytes(body)
 
     def respond(self, transcript: list[PromptText]) -> str:
         request = {"session": self._session, "messages": _messages(transcript)}
+        deadline = time.monotonic() + 2 * self._timeout
         last_error: Exception | None = None
         for _ in (1, 2):
             try:
-                return _parse_reply(self._post(request))
+                return _parse_reply(self._post(request, deadline))
             except (http.client.HTTPException, OSError) as exc:  # URLError is an OSError
                 last_error = exc
         raise AgentTransportError(f"agent unreachable: {last_error}") from last_error
 
     def close(self, outcome: str) -> None:
         try:
-            self._post({"type": "end", "session": self._session, "outcome": outcome})
+            self._post({"type": "end", "session": self._session, "outcome": outcome},
+                       time.monotonic() + 2 * self._timeout)
         except (http.client.HTTPException, OSError, AgentTransportError):
             pass
 
@@ -182,8 +191,11 @@ def bridge_agent_factory(endpoint: str, timeout: float = DEFAULT_TIMEOUT):
     if endpoint.startswith(("http://", "https://")):
         make, address = HttpBridgeAgent, endpoint
     elif endpoint.startswith("stdio:"):
-        make, address = StdioBridgeAgent, endpoint[len("stdio:"):]
-        if not address.strip():
+        try:  # once, so that a bad command fails before any episode
+            make, address = StdioBridgeAgent, shlex.split(endpoint[len("stdio:"):])
+        except ValueError as exc:
+            raise ValueError(f"bad endpoint {endpoint!r}: {exc}") from None
+        if not address:
             raise ValueError("stdio endpoint needs a command")
     else:
         raise ValueError(f"bad endpoint {endpoint!r}: expected http(s)://... or stdio:<command>")

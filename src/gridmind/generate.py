@@ -11,20 +11,26 @@ cell was attached to, so the start-to-goal path is read off the tree instead
 of being searched for; pits are drawn beside that path and the environment is
 built once, then solved once for the complexity floor.
 
-All randomness flows through a numpy Generator. Record streams are derived
-with SeedSequence spawn keys, so record i is a pure function of (seed, i)
-and shards can be produced concurrently.
+All randomness flows through a numpy Generator on PCG64, the only bit
+generator accepted. Record streams are derived with SeedSequence spawn keys,
+so record i is a pure function of (seed, i) and shards can be produced
+concurrently. The scalar bounded draws (size, offset, every growth step, the
+start and goal) are replicated from PCG64's raw output, bit-exact with
+numpy's scalar ``Generator.integers``, without its per-call cost; the pit
+draw is numpy's own ``random``. A property test against numpy and the pinned
+generator bytes guard the replica.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import (FREE, GLOBAL_MAX_COORD, GridSpec, board_index, board_positions,
-                   neighbour_steps, ring_board)
+from .grid import (FREE, GLOBAL_MAX_COORD, PIT, WALL, GridSpec, board_index, neighbour_steps,
+                   ring_board)
 from .stats import complexity
 
 RETRY_BUDGET = 64
@@ -67,13 +73,68 @@ def derive_seed(root_seed: int, index: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def _grow_induced_tree(w: int, h: int, target: int, rng: np.random.Generator) -> dict[int, int]:
+class _Pcg64Draws:
+    """numpy's scalar ``Generator.integers(n)`` on PCG64, replayed from raw output.
+
+    For ``n`` up to 2**32 numpy draws from 32-bit halves of the raw words,
+    low half first, and keeps the high half in the state's ``has_uint32`` and
+    ``uinteger`` for the next draw; Lemire's method rejects a biased half.
+    This reads the raw words in chunks and does the same in Python. ``sync``
+    must run before the generator is used again: it rewinds the words read
+    past the last draw and leaves the buffered half as numpy would, stale
+    ``uinteger`` included.
+    """
+
+    _CHUNK = 64  # raw words per read: most attempts on a 20x20 board need fewer
+
+    def __init__(self, rng: np.random.Generator):
+        self._bitgen = rng.bit_generator
+        self._state = self._bitgen.state
+        self._halves = [self._state["uinteger"]] if self._state["has_uint32"] else []
+        self._pending = len(self._halves)
+        self._read = 0  # raw words read
+        self._next = 0  # index in _halves of the next draw's half
+
+    def below(self, n: int) -> int:
+        """``int(rng.integers(n))`` for ``1 <= n <= 2**32``; a bound of 1 reads nothing."""
+        if n == 1:
+            return 0
+        halves, i = self._halves, self._next
+        while True:
+            if i == len(halves):
+                halves += self._bitgen.random_raw(self._CHUNK).astype("<u8", copy=False) \
+                    .view("<u4").tolist()
+                self._read += self._CHUNK
+            m = halves[i] * n
+            i += 1
+            low = m & 0xFFFFFFFF
+            if low >= n or low >= (0x100000000 - n) % n:
+                self._next = i
+                return m >> 32
+
+    def sync(self) -> None:
+        """Leave the generator's state as numpy's own draws would have."""
+        i, state = self._next, self._state
+        spent = i - self._pending  # raw halves drawn; -1 if not even the buffered one
+        has, value = state["has_uint32"], state["uinteger"]
+        if i:  # an odd count leaves the high half of the last word buffered, an
+            # even one leaves the last half drawn behind as a stale uinteger
+            has = spent % 2
+            value = self._halves[i if has else i - 1]
+        self._bitgen.advance(-(self._read - (spent + 1) // 2))
+        state = self._bitgen.state  # advance() clears the buffered half
+        state["has_uint32"], state["uinteger"] = has, value
+        self._bitgen.state = state
+
+
+def _grow_induced_tree(w: int, h: int, target: int, below: Callable[[int], int]) -> dict[int, int]:
     """Grow a free region of up to ``target`` cells whose graph is a tree.
 
     Cells are the board indices of a ``w`` by ``h`` board, whose neighbours
-    are probed in canonical action order. Each step draws one cell uniformly
-    from those touching exactly one free cell; the draws and the swap-remove
-    order of that list fix the output for a given ``rng``. Returns the tree:
+    are probed in canonical action order. Each step draws one cell uniformly,
+    ``below(n)`` being a draw from ``range(n)``, from those touching exactly
+    one free cell; the draws and the swap-remove order of that list fix the
+    output. Returns the tree:
     each free cell, in the order it joined, mapped to the free cell it was
     attached to (the first cell maps to -1), from which ``_tree_path`` reads
     the unique path between any two free cells.
@@ -83,8 +144,8 @@ def _grow_induced_tree(w: int, h: int, target: int, rng: np.random.Generator) ->
     touch = [0 if mark == FREE else 2 for mark in ring_board(w, h)]
     n = len(touch)
     steps = neighbour_steps(h)
-    x = int(rng.integers(w))
-    cell = board_index(x, int(rng.integers(h)), h)
+    x = below(w)
+    cell = board_index(x, below(h), h)
     parent = {cell: -1}
     touch[cell] = 2
     via = [-1] * n  # the free neighbour of a cell that touches exactly one
@@ -109,7 +170,7 @@ def _grow_induced_tree(w: int, h: int, target: int, rng: np.random.Generator) ->
                     slot[last] = i
         if len(parent) >= target or not eligible:
             return parent
-        i = int(rng.integers(len(eligible)))
+        i = below(len(eligible))
         cell = eligible[i]
         last = eligible.pop()
         if last != cell:
@@ -134,44 +195,37 @@ def _tree_path(parent: dict[int, int], a: int, b: int) -> list[int]:
 
 
 def _attempt(params: GenParams, rng: np.random.Generator, seed: int | None) -> GridSpec:
-    w = int(rng.integers(params.size_min, params.size_max + 1))
-    h = int(rng.integers(params.size_min, params.size_max + 1))
+    draws = _Pcg64Draws(rng)
+    below = draws.below
+    w = params.size_min + below(params.size_max - params.size_min + 1)
+    h = params.size_min + below(params.size_max - params.size_min + 1)
     span = GLOBAL_MAX_COORD + 1
-    ox = int(rng.integers(span - w + 1))
-    oy = int(rng.integers(span - h + 1))
+    ox = below(span - w + 1)
+    oy = below(span - h + 1)
 
     target = max(2, round((1.0 - params.wall_density) * w * h))
-    parent = _grow_induced_tree(w, h, target, rng)
+    parent = _grow_induced_tree(w, h, target, below)
 
     free = sorted(parent)  # int order is (x, y) order
-    i = int(rng.integers(len(free)))
-    j = int(rng.integers(len(free) - 1))
+    i = below(len(free))
+    j = below(len(free) - 1)
     if j >= i:
         j += 1
     start, goal = free[i], free[j]
+    draws.sync()
 
+    board = ring_board(w, h)
+    for c, mark in enumerate(board):
+        if mark == FREE and c not in parent:
+            board[c] = WALL
     # pits only replace walls beside the solution, which the free tree
     # already fixes; one draw per such wall, in (x, y) order
-    board = ring_board(w, h)
     beside = {cell + d for cell in _tree_path(parent, start, goal) for d in neighbour_steps(h)}
-    beside_walls = sorted(c for c in beside.difference(parent) if board[c] == FREE)
-    draws = rng.random(len(beside_walls)).tolist()
-    pit_cells = {c for c, r in zip(beside_walls, draws) if r < params.pit_density}
-
-    where = board_positions(ox, oy, w, h)
-    walls = [where[c] for c, mark in enumerate(board)
-             if mark == FREE and c not in parent and c not in pit_cells]
-    return GridSpec(
-        min_x=ox,
-        min_y=oy,
-        size_x=w,
-        size_y=h,
-        start=where[start],
-        goal=where[goal],
-        walls=frozenset(walls),
-        pits=frozenset(where[c] for c in pit_cells),
-        seed=seed,
-    )
+    beside_walls = sorted(c for c in beside if board[c] == WALL)
+    for c, r in zip(beside_walls, rng.random(len(beside_walls)).tolist()):
+        if r < params.pit_density:
+            board[c] = PIT
+    return GridSpec.from_board(board, ox, oy, w, h, start, goal, seed)
 
 
 def generate_environment(
@@ -181,9 +235,13 @@ def generate_environment(
 
     Environments whose solution never offers a choice (complexity below ln 2)
     are redrawn; after RETRY_BUDGET failed draws a GenerationError reports the
-    offending parameters instead of looping forever.
+    offending parameters instead of looping forever. ``rng`` must run on
+    ``numpy.random.PCG64``, whose draws growth replicates.
     """
     params.validate()
+    if type(rng.bit_generator) is not np.random.PCG64:
+        raise ValueError(f"generation replicates numpy's PCG64 draws; got a "
+                         f"{type(rng.bit_generator).__name__} generator")
     for _ in range(RETRY_BUDGET):
         spec = _attempt(params, rng, seed)
         if complexity(spec) >= _LN2 - 1e-12:

@@ -127,12 +127,35 @@ class GridSpec:
 
     @cached_property
     def board(self) -> tuple[int, ...]:
-        """The mark of each board index; an obstacle off the board marks nothing."""
+        """The mark of each board index; an obstacle off the board marks nothing.
+
+        ``from_board`` fills this cache for a spec built from its board.
+        """
         board = ring_board(self.size_x, self.size_y)
+        min_x, min_y, size_x, size_y = self.min_x, self.min_y, self.size_x, self.size_y
         for mark, cells in ((WALL, self.walls), (PIT, self.pits)):
-            for c in filter(None, map(self.cell, cells)):  # index 0: off the board
-                board[c] = mark
+            for x, y in cells:
+                x -= min_x
+                y -= min_y
+                if 0 <= x < size_x and 0 <= y < size_y:
+                    board[(x + 1) * (size_y + 2) + y + 1] = mark
         return tuple(board)
+
+    @classmethod
+    def from_board(cls, board: list[int], min_x: int, min_y: int, size_x: int, size_y: int,
+                   start: int, goal: int, seed: int | None = None) -> "GridSpec":
+        """The spec laid out as ``board``, with its start and goal at those indices.
+
+        The one place a board built elsewhere becomes a spec's ``board``
+        cache, so that a board already marked with its walls and pits is
+        not laid out again.
+        """
+        where = board_positions(min_x, min_y, size_x, size_y)
+        spec = cls(min_x, min_y, size_x, size_y, where[start], where[goal],
+                   frozenset(where[c] for c, mark in enumerate(board) if mark == WALL),
+                   frozenset(where[c] for c, mark in enumerate(board) if mark == PIT), seed)
+        spec.__dict__["board"] = tuple(board)  # where cached_property keeps it
+        return spec
 
     @cached_property
     def _solution(self) -> tuple[tuple[Action, Position], ...] | None:

@@ -3,11 +3,11 @@ from __future__ import annotations
 import json
 import os
 import resource
-import shlex
 import socket
 import sys
 import threading
 import time
+from contextlib import suppress
 from http.server import BaseHTTPRequestHandler, HTTPServer
 from pathlib import Path
 
@@ -126,17 +126,17 @@ def test_stdio_malformed_reply_aborts(ref_env, tmp_path):
         "sys.stdin.read()\n"
     )
     with pytest.raises(EpisodeAborted):
-        run_episode(ref_env, StdioBridgeAgent(f"python3 {script}", "s-1"), REACHABLE)
+        run_episode(ref_env, StdioBridgeAgent(["python3", str(script)], "s-1"), REACHABLE)
 
 
 def test_stdio_agent_death_aborts(ref_env):
-    agent = StdioBridgeAgent("python3 -c 'pass'", "s-2", timeout=5.0)
+    agent = StdioBridgeAgent(["python3", "-c", "pass"], "s-2", timeout=5.0)
     with pytest.raises(EpisodeAborted):
         run_episode(ref_env, agent, REACHABLE)
 
 
 def test_stdio_spawn_failure_aborts(ref_env):
-    agent = StdioBridgeAgent("/no/such/binary --x", "s-3")
+    agent = StdioBridgeAgent(["/no/such/binary", "--x"], "s-3")
     with pytest.raises(EpisodeAborted):
         run_episode(ref_env, agent, REACHABLE)
 
@@ -147,7 +147,7 @@ def test_stdio_slow_first_reply_keeps_turns_paired(ref_env, tmp_path):
     script = tmp_path / "stub.py"
     script.write_text(STUB)
     log = tmp_path / "requests.jsonl"
-    agent = StdioBridgeAgent(f"python3 {script} {log} 1.5", "s-4", timeout=1.0)
+    agent = StdioBridgeAgent(["python3", str(script), str(log), "1.5"], "s-4", timeout=1.0)
     # start the agent and wait until it reads, so that its 1.5 s delay runs
     # from the first send and interpreter start-up does not count
     agent._ensure_started()
@@ -168,7 +168,7 @@ def test_stdio_slow_first_reply_keeps_turns_paired(ref_env, tmp_path):
 
 def test_stdio_double_timeout_aborts(ref_env):
     agent = StdioBridgeAgent(
-        "python3 -c 'import time; time.sleep(30)'", "s-5", timeout=0.2
+        ["python3", "-c", "import time; time.sleep(30)"], "s-5", timeout=0.2
     )
     with pytest.raises(AgentTransportError, match="timed out twice"):
         agent.respond(render_instruction(ref_env))
@@ -185,7 +185,7 @@ def test_stdio_close_reaps_an_agent_that_ignores_the_end_message(ref_env, tmp_pa
         "print('{\"text\": \"hello\"}', flush=True)\n"
         "time.sleep(60)\n"
     )
-    agent = StdioBridgeAgent(f"python3 {script}", "s-6", timeout=5.0)
+    agent = StdioBridgeAgent(["python3", str(script)], "s-6", timeout=5.0)
     started = time.monotonic()
     assert run_episode(ref_env, agent, REACHABLE).outcome is Outcome.INVALID
     assert time.monotonic() - started < 30
@@ -194,7 +194,7 @@ def test_stdio_close_reaps_an_agent_that_ignores_the_end_message(ref_env, tmp_pa
 
 def test_stdio_close_kills_the_agents_whole_process_group(ref_env):
     # the shell waits on a sleep that outlives the 2 s that close allows it
-    agent = StdioBridgeAgent("sh -c 'sleep 30; true'", "s-7", timeout=0.2)
+    agent = StdioBridgeAgent(["sh", "-c", "sleep 30; true"], "s-7", timeout=0.2)
     with pytest.raises(AgentTransportError, match="timed out twice"):
         agent.respond(render_instruction(ref_env))
     agent.close("aborted")
@@ -215,7 +215,7 @@ def _padded_reply(size: int) -> bytes:
 
 def test_stdio_agent_that_never_reads_its_stdin_aborts_in_time(ref_env):
     # it floods stdout, and its unread requests fill the stdin pipe
-    agent = StdioBridgeAgent("""yes '{"text": "up"}'""", "s-8", timeout=GAP_TIMEOUT)
+    agent = StdioBridgeAgent(["yes", '{"text": "up"}'], "s-8", timeout=GAP_TIMEOUT)
     started = time.monotonic()
     with pytest.raises(EpisodeAborted):
         run_episode(ref_env, agent, REACHABLE)
@@ -224,11 +224,11 @@ def test_stdio_agent_that_never_reads_its_stdin_aborts_in_time(ref_env):
 
 
 def test_stdio_non_utf8_reply_is_malformed_at_once(ref_env):
-    agent = StdioBridgeAgent(shlex.join([
+    agent = StdioBridgeAgent([
         sys.executable, "-c",
         "import sys; sys.stdin.readline(); sys.stdout.buffer.write(b'\\xff\\n'); "
         "sys.stdout.flush(); sys.stdin.read()",
-    ]), "s-9", timeout=GAP_TIMEOUT)
+    ], "s-9", timeout=GAP_TIMEOUT)
     with pytest.raises(AgentTransportError, match="malformed reply"):
         agent.respond(render_instruction(ref_env))
     agent.close("aborted")
@@ -237,7 +237,7 @@ def test_stdio_non_utf8_reply_is_malformed_at_once(ref_env):
 
 def test_stdio_endless_line_aborts_in_bounded_memory(ref_env):
     # 200 MB with no newline: the bridge reads past the cap and no further
-    agent = StdioBridgeAgent("head -c 200000000 /dev/zero", "s-10", timeout=GAP_TIMEOUT)
+    agent = StdioBridgeAgent(["head", "-c", "200000000", "/dev/zero"], "s-10", timeout=GAP_TIMEOUT)
     peak_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     started = time.monotonic()
     with pytest.raises(EpisodeAborted, match="reply cap"):
@@ -251,8 +251,8 @@ def test_stdio_endless_line_aborts_in_bounded_memory(ref_env):
 def test_stdio_reply_line_is_capped(ref_env, tmp_path, over):
     reply = tmp_path / "reply.json"
     reply.write_bytes(_padded_reply(MAX_REPLY_BYTES + over) + b"\n")
-    agent = StdioBridgeAgent(shlex.join(
-        ["sh", "-c", 'read x; cat "$1"; cat >/dev/null', "sh", str(reply)]), "s-11")
+    agent = StdioBridgeAgent(
+        ["sh", "-c", 'read x; cat "$1"; cat >/dev/null', "sh", str(reply)], "s-11")
     if over:
         with pytest.raises(AgentTransportError, match="reply cap"):
             agent.respond(render_instruction(ref_env))
@@ -264,8 +264,8 @@ def test_stdio_reply_line_is_capped(ref_env, tmp_path, over):
 
 def test_stdio_close_kills_a_background_child_after_a_clean_exit(ref_env):
     # the shell exits at end of input; the sleep it left holds stdout open
-    agent = StdioBridgeAgent(shlex.join(
-        ["sh", "-c", """(sleep 30 &); read x; echo '{"text": "hello"}'; cat >/dev/null"""]),
+    agent = StdioBridgeAgent(
+        ["sh", "-c", """(sleep 30 &); read x; echo '{"text": "hello"}'; cat >/dev/null"""],
         "s-12", timeout=GAP_TIMEOUT)
     assert run_episode(ref_env, agent, REACHABLE).outcome is Outcome.INVALID
     assert agent._proc.returncode == 0  # it exited by itself
@@ -403,6 +403,34 @@ def test_http_garbage_status_line_aborts(ref_env):
         assert not server.is_alive()
 
 
+def test_http_reply_trickled_past_the_deadline_aborts(ref_env):
+    """One byte every 0.1 s never trips the 0.5 s socket timeout; the turn's
+    deadline of two timeouts ends the episode."""
+    stop = threading.Event()
+    with socket.socket() as listener:
+        listener.bind(("127.0.0.1", 0))
+        listener.listen()
+
+        def serve():
+            conn, _ = listener.accept()
+            with conn, suppress(OSError):  # the client hangs up mid-body
+                conn.recv(1 << 16)
+                conn.sendall(b"HTTP/1.1 200 OK\r\nContent-Length: 1000\r\n\r\n")
+                while not stop.wait(0.1):
+                    conn.sendall(b" ")
+
+        server = threading.Thread(target=serve, daemon=True)
+        server.start()
+        agent = HttpBridgeAgent(f"http://127.0.0.1:{listener.getsockname()[1]}", "s-15", 0.5)
+        started = time.monotonic()
+        with pytest.raises(EpisodeAborted, match="still arriving"):
+            run_episode(ref_env, agent, REACHABLE)
+        assert time.monotonic() - started < 3
+        stop.set()
+        server.join(5)
+        assert not server.is_alive()
+
+
 # the agent boundary as a property: whatever a scripted fake agent sends,
 # each episode ends in an outcome or an abort within two timeouts and the
 # 2 s that close allows, and nothing the agent started outlives its close
@@ -453,7 +481,7 @@ _STDIO_STEPS = st.one_of(
 def test_any_stdio_agent_ends_in_time_and_leaves_nothing_behind(steps, linger):
     argv = [sys.executable, "-c", FAKE_AGENT, str(MAX_REPLY_BYTES)]
     argv += [arg for step in steps for arg in step] + [str(int(linger))]
-    agent = StdioBridgeAgent(shlex.join(argv), "prop", timeout=PROP_TIMEOUT)
+    agent = StdioBridgeAgent(argv, "prop", timeout=PROP_TIMEOUT)
     started = time.monotonic()
     try:
         run_episode(example_env(), agent, REACHABLE)

@@ -242,6 +242,19 @@ def test_eval_checks_the_reply_count_before_any_episode(tmp_path, capsys, monkey
     assert entered == []
 
 
+def test_eval_names_a_stdio_endpoint_it_cannot_split(tmp_path, capsys, monkeypatch):
+    import gridmind.cli as cli
+
+    run_cli(gen_args(tmp_path / "data", count=2, variant="bwd-none"), capsys)
+    shard = tmp_path / "data" / "train-bwd-none-0000-of-0001.jsonl"
+    entered = []
+    monkeypatch.setattr(cli, "evaluate_batch", lambda *a, **k: entered.append(a))
+    with pytest.raises(SystemExit, match=re.escape("stdio:python3 'x") + ".*No closing quotation"):
+        run_cli(["eval", "--test-file", str(shard), "--agent", "bridge:stdio:python3 'x",
+                 "--mode", "reachable"], capsys)
+    assert entered == []
+
+
 def test_stats_names_the_line_of_a_bad_record(tmp_path, capsys):
     run_cli(gen_args(tmp_path / "data", count=2), capsys)
     shard = tmp_path / "data" / "train-fwd-full-bt-0000-of-0001.jsonl"

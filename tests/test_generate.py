@@ -5,9 +5,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from gridmind import GenParams, GenerationError, generate_environment, generate_indexed
-from gridmind.generate import TEST_PARAMS, TRAIN_PARAMS, derive_seed
+from gridmind import GenParams, GenerationError, GridSpec, generate_environment, generate_indexed
+from gridmind.generate import TEST_PARAMS, TRAIN_PARAMS, _Pcg64Draws, derive_seed
 from gridmind.grid import GLOBAL_MAX_COORD
 from gridmind.stats import complexity
 
@@ -154,3 +155,44 @@ def test_generator_bytes_are_pinned(split):
     for index in range(200):
         digest.update(generate_indexed(params, index).to_json().encode() + b"\n")
     assert digest.hexdigest() == expected
+
+
+# small bounds as growth draws them, powers of two, and bounds above 2**31,
+# where Lemire's method rejects up to half the 32-bit halves
+_BOUNDS = st.one_of(st.integers(1, 500), st.sampled_from([2 ** k for k in range(33)]),
+                    st.integers(2 ** 31 + 1, 2 ** 32))
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2 ** 64 - 1), pending=st.none() | st.integers(0, 2 ** 32 - 1),
+       bounds=st.lists(_BOUNDS, max_size=300), k=st.integers(1, 2 ** 40))
+def test_the_draw_replica_matches_numpy(seed, pending, bounds, k):
+    """Same values, same state after, same follow-on draws: a numpy that
+    changes its bounded draw fails here rather than drifting the output."""
+    def generator():
+        rng = np.random.Generator(np.random.PCG64(seed))
+        if pending is not None:  # a 32-bit half buffered by an earlier draw
+            state = rng.bit_generator.state
+            state["has_uint32"], state["uinteger"] = 1, pending
+            rng.bit_generator.state = state
+        return rng
+
+    ours, theirs = generator(), generator()
+    draws = _Pcg64Draws(ours)
+    assert [draws.below(n) for n in bounds] == [int(theirs.integers(n)) for n in bounds]
+    draws.sync()
+    assert ours.bit_generator.state == theirs.bit_generator.state
+    assert ours.random() == theirs.random()
+    assert ours.integers(k, size=5).tolist() == theirs.integers(k, size=5).tolist()
+
+
+def test_only_pcg64_generators_are_accepted():
+    with pytest.raises(ValueError, match="PCG64"):
+        generate_environment(TRAIN_PARAMS, np.random.Generator(np.random.Philox(1)))
+
+
+@pytest.mark.parametrize("params", [TRAIN_PARAMS, TEST_PARAMS], ids=["train", "test"])
+def test_the_handed_over_board_is_the_decoded_one(params):
+    for index in range(500):
+        spec = generate_indexed(params, index)
+        assert spec.board == GridSpec.from_json_dict(spec.to_json_dict()).board
