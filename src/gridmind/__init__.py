@@ -24,13 +24,10 @@ from .grid import (
     ACTIONS,
     Action,
     GridSpec,
-    MoveKind,
     Position,
-    TransitionResult,
     count_simple_paths,
     optimal_path,
     path_states,
-    transition,
     valid_actions,
 )
 from .harness import (

@@ -82,12 +82,16 @@ class _Pcg64Draws:
     This reads the raw words in chunks and does the same in Python. ``sync``
     must run before the generator is used again: it rewinds the words read
     past the last draw and leaves the buffered half as numpy would, stale
-    ``uinteger`` included.
+    ``uinteger`` included. A generator on any bit generator but PCG64 raises
+    ValueError.
     """
 
     _CHUNK = 64  # raw words per read: most attempts on a 20x20 board need fewer
 
     def __init__(self, rng: np.random.Generator):
+        if type(rng.bit_generator) is not np.random.PCG64:
+            raise ValueError(f"the draw replica follows numpy's PCG64; got a "
+                             f"{type(rng.bit_generator).__name__} generator")
         self._bitgen = rng.bit_generator
         self._state = self._bitgen.state
         self._halves = [self._state["uinteger"]] if self._state["has_uint32"] else []
@@ -239,9 +243,6 @@ def generate_environment(
     ``numpy.random.PCG64``, whose draws growth replicates.
     """
     params.validate()
-    if type(rng.bit_generator) is not np.random.PCG64:
-        raise ValueError(f"generation replicates numpy's PCG64 draws; got a "
-                         f"{type(rng.bit_generator).__name__} generator")
     for _ in range(RETRY_BUDGET):
         spec = _attempt(params, rng, seed)
         if complexity(spec) >= _LN2 - 1e-12:

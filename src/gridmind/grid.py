@@ -1,8 +1,9 @@
-"""Core gridworld model: cells, actions, movement rules, and the solution path.
+"""Core gridworld model: cells, actions, the board layout, and the solution path.
 
 A grid is an axis-aligned rectangle of cells. Some cells are walls, some are
 pits, the rest are free. Moving into a wall or out of bounds leaves the agent
-where it is; moving into a pit loses the episode; moving onto the goal wins.
+where it is; moving into a pit loses the episode; moving onto the goal wins
+(the reachable protocol of :mod:`gridmind.harness` walks these rules).
 Environments produced by :mod:`gridmind.generate` have exactly one simple
 path from start to goal over the free cells.
 
@@ -284,56 +285,21 @@ class GridSpec:
         )
 
 
-class MoveKind(Enum):
-    MOVED = "moved"
-    BLOCKED_WALL = "blocked_wall"
-    BLOCKED_BOUNDS = "blocked_bounds"
-    PIT = "pit"
-    REACHED_GOAL = "reached_goal"
-
-
-@dataclass(frozen=True)
-class TransitionResult:
-    """Outcome of one attempted move.
-
-    ``dest`` is the entered cell for MOVED, PIT and REACHED_GOAL; None for the
-    blocked kinds, which leave the agent in place.
-    """
-
-    kind: MoveKind
-    dest: Position | None = None
-
-
 Trajectory = list[tuple[Action, Position]]
 
 
 _NOT_STANDABLE = {OFF: "out of bounds", WALL: "a wall", PIT: "a pit"}
-_MOVE_KINDS = {FREE: MoveKind.MOVED, PIT: MoveKind.PIT,
-               WALL: MoveKind.BLOCKED_WALL, OFF: MoveKind.BLOCKED_BOUNDS}
-
-
-def _standable_cell(spec: GridSpec, pos: Position) -> int:
-    """The board index of ``pos``; ValueError unless it is a free cell."""
-    c = spec.cell(pos)
-    mark = spec.board[c]
-    if mark != FREE:
-        raise ValueError(f"position {pos} is {_NOT_STANDABLE[mark]}")
-    return c
-
-
-def transition(spec: GridSpec, pos: Position, action: Action) -> TransitionResult:
-    """Attempt one move from a free cell."""
-    _standable_cell(spec, pos)
-    dest = action.apply(pos)
-    mark = spec.board[spec.cell(dest)]
-    kind = MoveKind.REACHED_GOAL if dest == spec.goal else _MOVE_KINDS[mark]
-    return TransitionResult(kind, dest if mark == FREE or mark == PIT else None)
 
 
 def valid_actions(spec: GridSpec, pos: Position) -> list[tuple[Action, Position]]:
-    """Moves that enter a free cell (goal included), in canonical action order."""
-    c = _standable_cell(spec, pos)
+    """Moves that enter a free cell (goal included), in canonical action order.
+
+    Raises ValueError unless ``pos`` is a free cell.
+    """
+    c = spec.cell(pos)
     board = spec.board
+    if board[c] != FREE:
+        raise ValueError(f"position {pos} is {_NOT_STANDABLE[board[c]]}")
     x, y = pos
     return [(action, (x + dx, y + dy))
             for (action, dx, dy), d in zip(_STEPS, neighbour_steps(spec.size_y))

@@ -6,7 +6,9 @@ path counts as success. In reachable mode the agent is queried one move at
 a time under a step budget: reaching the goal is Success, stepping into a
 pit is Deadend, exhausting the budget is MaxStep, and any reply that is not
 a move word ends the episode as Invalid. Blocked moves (wall or boundary)
-keep the agent in place, cost a step, and repeat the same observation.
+keep the agent in place, cost a step, and repeat the same observation. The
+loop walks the spec's board by index, and renders each cell's observation
+once per episode.
 
 Both protocols run through ``run_episode``: it alone asks the agent (a
 transport failure becomes ``EpisodeAborted``) and it alone closes the agent,
@@ -26,13 +28,12 @@ import numpy as np
 
 from .cogmap import PlanParseError, parse_plan, serialize_plan
 from .dataset import read_jsonl
-from .generate import derive_seed
-from .grid import Action, GridSpec, MoveKind, optimal_path, transition
+from .generate import _Pcg64Draws, derive_seed
+from .grid import ACTION_BY_WORD, FREE, PIT, Action, GridSpec, neighbour_steps, optimal_path
 from .prompts import (
     GPT,
     HUMAN,
     PromptText,
-    parse_action,
     parse_observation,
     render_instruction,
     render_observation,
@@ -96,16 +97,21 @@ class OracleAgent(Agent):
 
 
 class RandomValidAgent(Agent):
-    """Picks uniformly among the moves the observation offers."""
+    """Picks uniformly among the moves the observation offers.
+
+    The agent owns ``rng``, which must run on PCG64: its draws are replayed
+    from ``rng``'s raw output and never synced back, so nothing else may
+    draw from it.
+    """
 
     def __init__(self, rng: np.random.Generator):
-        self._rng = rng
+        self._below = _Pcg64Draws(rng).below
 
     def respond(self, transcript: list[PromptText]) -> str:
         _, moves = parse_observation(transcript[-1].text)
         if not moves:
             return Action.UP.value
-        action, _ = moves[int(self._rng.integers(len(moves)))]
+        action, _ = moves[self._below(len(moves))]
         return action.value
 
 
@@ -114,21 +120,24 @@ class DfsAgent(Agent):
 
     Advances to a uniformly chosen unvisited destination when one exists,
     otherwise retreats one step along the path that got it here. Complete on
-    the generated environments, where free cells form a tree.
+    the generated environments, where free cells form a tree. The agent owns
+    ``rng``, which must run on PCG64: its draws are replayed from ``rng``'s
+    raw output and never synced back, so nothing else may draw from it.
     """
 
     def __init__(self, rng: np.random.Generator):
-        self._rng = rng
+        self._below = _Pcg64Draws(rng).below
         self._visited: set[tuple[int, int]] = set()
         self._undo: list[Action] = []
 
     def respond(self, transcript: list[PromptText]) -> str:
         current, moves = parse_observation(transcript[-1].text)
-        self._visited.add(current)
-        unvisited = [(a, d) for a, d in moves if d not in self._visited]
+        visited = self._visited
+        visited.add(current)
+        unvisited = [(a, d) for a, d in moves if d not in visited]
         if unvisited:
-            action, dest = unvisited[int(self._rng.integers(len(unvisited)))]
-            self._visited.add(dest)
+            action, dest = unvisited[self._below(len(unvisited))]
+            visited.add(dest)
             self._undo.append(action.inverse)
             return action.value
         if self._undo:
@@ -171,9 +180,13 @@ def _ask(agent: Agent, transcript: list[PromptText]) -> str:
 
 
 def _play_reachable(spec: GridSpec, agent: Agent, max_steps: int) -> EpisodeResult:
+    """The reachable protocol on board indices: a move is one board read."""
     transcript = render_instruction(spec)
-    optimal_len = len(optimal_path(spec))
-    pos = spec.start
+    optimal_len = len(optimal_path(spec))  # raises unless start and goal are free cells
+    board, column = spec.board, spec.size_y + 2
+    c, goal = spec.cell(spec.start), spec.cell(spec.goal)
+    offsets = dict(zip(ACTION_BY_WORD, neighbour_steps(spec.size_y)))
+    observations: dict[int, str] = {}
     steps = 0
     reply = _ask(agent, list(transcript))
     # the first reply may carry thought text: its last non-empty line is the move
@@ -181,24 +194,30 @@ def _play_reachable(spec: GridSpec, agent: Agent, max_steps: int) -> EpisodeResu
     move = lines[-1] if lines else ""
     while True:
         transcript.append(PromptText(GPT, reply))
-        action = parse_action(move)
-        if action is None:
+        offset = offsets.get(move.strip())  # parse_action's vocabulary
+        if offset is None:
             outcome = Outcome.INVALID
             break
-        result = transition(spec, pos, action)
         steps += 1
-        if result.kind is MoveKind.PIT:
-            outcome = Outcome.DEADEND
-            break
-        if result.kind is MoveKind.REACHED_GOAL:
+        n = c + offset
+        if n == goal:
             outcome = Outcome.SUCCESS
             break
-        if result.kind is MoveKind.MOVED:
-            pos = result.dest
+        mark = board[n]
+        if mark == PIT:
+            outcome = Outcome.DEADEND
+            break
+        if mark == FREE:
+            c = n
         if steps >= max_steps:
             outcome = Outcome.MAX_STEP
             break
-        transcript.append(PromptText(HUMAN, render_observation(spec, pos)))
+        text = observations.get(c)
+        if text is None:
+            x, y = divmod(c, column)
+            pos = (spec.min_x + x - 1, spec.min_y + y - 1)
+            text = observations[c] = render_observation(spec, pos)
+        transcript.append(PromptText(HUMAN, text))
         reply = move = _ask(agent, list(transcript))
     return EpisodeResult(outcome, steps, optimal_len, transcript)
 

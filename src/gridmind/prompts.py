@@ -138,25 +138,22 @@ def parse_observation(text: str) -> tuple[Position, list[tuple[Action, Position]
     """Invert render_observation. Raises ValueError on any format drift.
 
     Also accepts the opening environment turn, which embeds the first
-    observation after the header lines.
+    observation after the header lines: the last "Current:" line starts it.
     """
     lines = text.split("\n")
-    starts = [i for i, line in enumerate(lines) if line == "Current:"]
-    if starts:
-        lines = lines[starts[-1]:]
+    if "Current:" in lines:
+        lines = lines[len(lines) - 1 - lines[::-1].index("Current:"):]
     if len(lines) < 3 or lines[0] != "Current:" or lines[2] != "Possible:":
         raise ValueError(f"not an observation: {text!r}")
     current = parse_position(lines[1])
     if current is None:
         raise ValueError(f"bad current position line: {lines[1]!r}")
-    rest = lines[3:]
-    if len(rest) % 2:
+    if not len(lines) % 2:
         raise ValueError("dangling destination line in observation")
     moves = []
-    for i in range(0, len(rest), 2):
-        dest = parse_position(rest[i])
-        action = parse_action(rest[i + 1])
+    for line, word in zip(lines[3::2], lines[4::2]):
+        dest, action = parse_position(line), parse_action(word)
         if dest is None or action is None:
-            raise ValueError(f"bad move lines: {rest[i]!r}, {rest[i + 1]!r}")
+            raise ValueError(f"bad move lines: {line!r}, {word!r}")
         moves.append((action, dest))
     return current, moves

@@ -61,6 +61,16 @@ class ConstantAgent(Agent):
         return self._text
 
 
+class ScriptedReplies(Agent):
+    """Fixed replies in order, then the empty reply, which is invalid."""
+
+    def __init__(self, replies):
+        self._replies = iter(replies)
+
+    def respond(self, transcript):
+        return next(self._replies, "")
+
+
 @pytest.fixture
 def ref_env() -> GridSpec:
     return example_env()

@@ -11,10 +11,12 @@ import heapq
 import math
 import re
 from dataclasses import dataclass, field
+from enum import Enum
 from typing import NamedTuple
 
 from gridmind.cogmap import PlanParseError
 from gridmind.grid import ACTION_BY_WORD
+from gridmind.prompts import parse_action, parse_position, render_instruction
 from gridmind.stats import METRICS
 
 # word -> coordinate delta, in the documented up/down/left/right order
@@ -104,14 +106,94 @@ def standable_cells(spec) -> list[tuple]:
             for y in range(spec.min_y, spec.min_y + spec.size_y) if _standable(spec, (x, y))]
 
 
-def move_kind(spec, pos, word) -> str:
-    """The MoveKind value of the move ``word`` from ``pos``."""
+class MoveKind(Enum):
+    """What one attempted move does under the movement rules."""
+
+    MOVED = "moved"
+    BLOCKED_WALL = "blocked_wall"
+    BLOCKED_BOUNDS = "blocked_bounds"
+    PIT = "pit"
+    REACHED_GOAL = "reached_goal"
+
+
+_BLOCKED_BY = {"out_of_bounds": MoveKind.BLOCKED_BOUNDS, "wall": MoveKind.BLOCKED_WALL,
+               "pit": MoveKind.PIT}
+
+
+def move_kind(spec, pos, word) -> MoveKind:
+    """The kind of the move ``word`` from ``pos``."""
     dx, dy = DELTAS[word]
     cell = (pos[0] + dx, pos[1] + dy)
     reason = _cut_reason(spec, cell, set())
     if reason is None:
-        return "reached_goal" if cell == spec.goal else "moved"
-    return {"out_of_bounds": "blocked_bounds", "wall": "blocked_wall", "pit": "pit"}[reason]
+        return MoveKind.REACHED_GOAL if cell == spec.goal else MoveKind.MOVED
+    return _BLOCKED_BY[reason]
+
+
+def observation_text(spec, pos) -> str:
+    """The observation turn at ``pos``: the cell, then each standable neighbour and its word."""
+    text = "Current:\n(%d, %d)\nPossible:" % pos
+    for word, (dx, dy) in DELTAS.items():
+        if _standable(spec, (pos[0] + dx, pos[1] + dy)):
+            text += "\n(%d, %d)\n%s" % (pos[0] + dx, pos[1] + dy, word)
+    return text
+
+
+def reachable_episode(spec, replies, max_steps) -> tuple[str, int, list[tuple[str, str]]]:
+    """The reachable protocol on positions: outcome, steps and (role, text) turns.
+
+    The agent replies ``replies`` in order, then the empty reply. Only the
+    last non-blank line of the first reply is its move; a later reply is a
+    move only as a whole.
+    """
+    turns = [tuple(turn) for turn in render_instruction(spec)]
+    pending = list(replies)
+    pos, steps = spec.start, 0
+    reply = pending.pop(0) if pending else ""
+    word = next((line for line in reversed(reply.split("\n")) if line.strip()), "").strip()
+    while True:
+        turns.append(("gpt", reply))
+        if word not in DELTAS:
+            return "invalid", steps, turns
+        steps += 1
+        kind = move_kind(spec, pos, word)
+        if kind is MoveKind.PIT:
+            return "deadend", steps, turns
+        if kind is MoveKind.REACHED_GOAL:
+            return "success", steps, turns
+        if kind is MoveKind.MOVED:
+            pos = (pos[0] + DELTAS[word][0], pos[1] + DELTAS[word][1])
+        if steps == max_steps:
+            return "max_step", steps, turns
+        turns.append(("human", observation_text(spec, pos)))
+        reply = pending.pop(0) if pending else ""
+        word = reply.strip()
+
+
+def parse_observation(text: str):
+    """The observation parser as a walk over every line: the last "Current:"
+    line starts the observation, then one destination and one word line per
+    move."""
+    lines = text.split("\n")
+    starts = [i for i, line in enumerate(lines) if line == "Current:"]
+    if starts:
+        lines = lines[starts[-1]:]
+    if len(lines) < 3 or lines[0] != "Current:" or lines[2] != "Possible:":
+        raise ValueError(f"not an observation: {text!r}")
+    current = parse_position(lines[1])
+    if current is None:
+        raise ValueError(f"bad current position line: {lines[1]!r}")
+    rest = lines[3:]
+    if len(rest) % 2:
+        raise ValueError("dangling destination line in observation")
+    moves = []
+    for i in range(0, len(rest), 2):
+        dest = parse_position(rest[i])
+        action = parse_action(rest[i + 1])
+        if dest is None or action is None:
+            raise ValueError(f"bad move lines: {rest[i]!r}, {rest[i + 1]!r}")
+        moves.append((action, dest))
+    return current, moves
 
 
 def is_tree(spec) -> bool:

@@ -12,23 +12,47 @@ from gridmind import (
     ACTIONS,
     Action,
     GridSpec,
-    MoveKind,
+    Outcome,
     count_simple_paths,
     optimal_path,
     path_states,
-    transition,
+    run_episode,
     valid_actions,
 )
 from gridmind.generate import TEST_PARAMS, generate_indexed
+from gridmind.harness import REACHABLE
+from gridmind.prompts import parse_observation, render_observation
 
-from conftest import example_env, translate
+from conftest import ScriptedReplies, example_env, translate
 from oracles import (
     DELTAS,
+    MoveKind,
     enumerate_simple_paths,
     move_kind,
     shortest_path_length,
     standable_cells,
 )
+
+
+def one_move(spec, pos, action):
+    """The outcome and cell after a reachable episode from ``pos`` makes the
+    move ``action``: ("playing", the cell) when the move did not end the
+    episode (its second, empty reply does, after an observation of the
+    cell), else (the outcome, None)."""
+    result = run_episode(replace(spec, start=pos), ScriptedReplies([action.value]), REACHABLE, 2)
+    if result.outcome is not Outcome.INVALID:
+        return result.outcome.value, None
+    assert result.steps == 1
+    return "playing", parse_observation(result.transcript[-2].text)[0]
+
+
+def expected_move(kind, pos, action):
+    """``one_move``'s result for a move of that kind."""
+    if kind is MoveKind.PIT:
+        return "deadend", None
+    if kind is MoveKind.REACHED_GOAL:
+        return "success", None
+    return "playing", action.apply(pos) if kind is MoveKind.MOVED else pos
 
 
 def test_action_order_and_deltas():
@@ -53,18 +77,19 @@ def test_action_order_and_deltas():
     ],
 )
 def test_transition_cases(ref_env, pos, action, kind, dest):
-    result = transition(ref_env, pos, action)
-    assert result.kind is kind
-    assert result.dest == dest
+    assert move_kind(ref_env, pos, action.value) is kind
+    assert one_move(ref_env, pos, action) == expected_move(kind, pos, action)
+    if dest is not None:
+        assert action.apply(pos) == dest
 
 
 def test_transition_rejects_bad_positions(ref_env):
-    with pytest.raises(ValueError):
-        transition(ref_env, (1, 1), Action.UP)  # wall
-    with pytest.raises(ValueError):
-        transition(ref_env, (3, 0), Action.UP)  # pit
-    with pytest.raises(ValueError):
-        transition(ref_env, (9, 9), Action.UP)  # out of bounds
+    for pos, reason in (((1, 1), "a wall"), ((3, 0), "a pit"), ((9, 9), "out of bounds")):
+        message = re.escape(f"position {pos} is {reason}")
+        with pytest.raises(ValueError, match=message):
+            render_observation(ref_env, pos)
+        with pytest.raises(ValueError, match=message):  # the opening turn's observation
+            run_episode(replace(ref_env, start=pos), ScriptedReplies(["up"]), REACHABLE)
 
 
 def test_valid_actions_canonical_order(ref_env):
@@ -81,13 +106,18 @@ def test_valid_actions_canonical_order(ref_env):
 
 def test_valid_actions_agree_with_transition(ref_env):
     for pos in ref_env.free_cells():
+        if pos == ref_env.goal:
+            continue
         allowed = dict(valid_actions(ref_env, pos))
         for action in ACTIONS:
-            result = transition(ref_env, pos, action)
-            if result.kind in (MoveKind.MOVED, MoveKind.REACHED_GOAL):
-                assert allowed[action] == result.dest
+            outcome, cell = one_move(ref_env, pos, action)
+            dest = allowed.get(action)
+            if dest == ref_env.goal:
+                assert (outcome, cell) == ("success", None)
+            elif dest is not None:
+                assert (outcome, cell) == ("playing", dest)
             else:
-                assert action not in allowed
+                assert outcome == "deadend" or cell == pos
 
 
 def test_optimal_path_small_example(ref_env):
@@ -165,8 +195,15 @@ def test_board_walks_match_the_oracle(spec):
         steps = [(word, (pos[0] + dx, pos[1] + dy)) for word, (dx, dy) in DELTAS.items()]
         assert [(a.value, dest) for a, dest in valid_actions(spec, pos)] == [
             (word, dest) for word, dest in steps if dest in free]
+        if pos == spec.goal:
+            continue
+        if shortest_path_length(replace(spec, start=pos)) is None:
+            with pytest.raises(ValueError):
+                one_move(spec, pos, Action.UP)
+            continue
         for action in ACTIONS:
-            assert transition(spec, pos, action).kind.value == move_kind(spec, pos, action.value)
+            kind = move_kind(spec, pos, action.value)
+            assert one_move(spec, pos, action) == expected_move(kind, pos, action)
     length = shortest_path_length(spec)
     if length is None:
         with pytest.raises(ValueError):
@@ -262,19 +299,18 @@ def test_optimal_path_matches_dijkstra_on_random_envs():
 def test_transition_partition_on_random_envs():
     for index in range(60):
         spec = generate_indexed(TEST_PARAMS, index)
-        for pos in spec.free_cells():
+        free = set(spec.free_cells())
+        for pos in free - {spec.goal}:
             allowed = dict(valid_actions(spec, pos))
             for action in ACTIONS:
-                result = transition(spec, pos, action)
+                outcome, cell = one_move(spec, pos, action)
                 dest = action.apply(pos)
-                if result.kind is MoveKind.BLOCKED_BOUNDS:
-                    assert not spec.in_bounds(dest)
-                elif result.kind is MoveKind.BLOCKED_WALL:
-                    assert dest in spec.walls
-                elif result.kind is MoveKind.PIT:
+                if outcome == "deadend":
                     assert dest in spec.pits
-                elif result.kind is MoveKind.REACHED_GOAL:
+                elif outcome == "success":
                     assert dest == spec.goal and action in allowed
+                elif cell == pos:
+                    assert dest in spec.walls or not spec.in_bounds(dest)
+                    assert action not in allowed
                 else:
-                    assert result.kind is MoveKind.MOVED
-                    assert dest in spec.free_cells() and action in allowed
+                    assert cell == dest and dest in free and action in allowed

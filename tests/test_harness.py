@@ -6,6 +6,7 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gridmind import (
     BatchReport,
@@ -13,6 +14,7 @@ from gridmind import (
     EpisodeAborted,
     Outcome,
     PlansAgent,
+    RandomValidAgent,
     evaluate_batch,
     load_plans,
     plans_agent_factory,
@@ -20,12 +22,13 @@ from gridmind import (
     scripted_agent_factory,
 )
 from gridmind.cogmap import CotVariant, join_reply, render_parts
-from gridmind.generate import TEST_PARAMS, TRAIN_PARAMS, generate_indexed
+from gridmind.generate import TEST_PARAMS, TRAIN_PARAMS, derive_seed, generate_indexed
 from gridmind.grid import optimal_path
 from gridmind.harness import OPTIMAL, REACHABLE, Agent, AgentTransportError, OracleAgent
 from gridmind.prompts import GPT, HUMAN, RULES_TEXT, render_instruction
 
-from conftest import GOLDEN_DIR, ConstantAgent
+from conftest import GOLDEN_DIR, ConstantAgent, ScriptedReplies
+from oracles import reachable_episode, shortest_path_length
 
 
 class ScriptedMoves(Agent):
@@ -200,6 +203,49 @@ def test_dfs_explores_every_tree_without_getting_stuck():
         result = run_episode(spec, DfsAgent(np.random.default_rng(index)), REACHABLE, budget)
         assert result.outcome is Outcome.SUCCESS, index
         assert result.steps <= 2 * len(spec.free_cells())
+
+
+@pytest.mark.parametrize("agent", [DfsAgent, RandomValidAgent])
+def test_scripted_agents_take_pcg64_generators_only(agent):
+    with pytest.raises(ValueError, match="PCG64"):
+        agent(np.random.Generator(np.random.Philox(1)))
+
+
+_WORDS = ["up", "down", "left", "right"]
+# not a move word as a whole: case, inner text, a second line, nothing
+_ODD_REPLIES = ["Up", "RIGHT", "jump", "", "up down", "thinking...\nleft", "\n"]
+_PADDED = [" left", "right\n", "\tdown ", "up\r"]
+
+
+@st.composite
+def scripted_episodes(draw):
+    """A generated board from either split, replies that follow its solution
+    with detours and odd words mixed in (or random words), and a step budget."""
+    params = draw(st.sampled_from([TRAIN_PARAMS, TEST_PARAMS]))
+    spec = generate_indexed(params, draw(st.integers(0, 10_000)))
+    if draw(st.booleans()):
+        replies = [a.value for a, _ in optimal_path(spec)]
+        for _ in range(draw(st.integers(0, 6))):
+            at = draw(st.integers(0, len(replies)))
+            replies.insert(at, draw(st.sampled_from(_WORDS + _PADDED + _ODD_REPLIES)))
+    else:
+        replies = draw(st.lists(st.sampled_from(_WORDS + _PADDED), max_size=40))
+        replies += draw(st.lists(st.sampled_from(_ODD_REPLIES), max_size=1))
+    if replies and draw(st.booleans()):  # a thought before the first move
+        head = draw(st.sampled_from(["Thought:\nsome musing\n\n", "down\n", " \n"]))
+        replies[0] = head + replies[0] + draw(st.sampled_from(["", "\n", "\n \n"]))
+    return spec, replies, draw(st.integers(1, len(replies) + 3) | st.just(len(replies) + 3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(scripted_episodes())
+def test_run_episode_matches_the_reference_loop(episode):
+    spec, replies, max_steps = episode
+    result = run_episode(spec, ScriptedReplies(replies), REACHABLE, max_steps)
+    outcome, steps, turns = reachable_episode(spec, replies, max_steps)
+    assert (result.outcome.value, result.steps) == (outcome, steps)
+    assert result.optimal_len == shortest_path_length(spec)
+    assert [tuple(turn) for turn in result.transcript] == turns
 
 
 def test_plans_agent_replays_one_move_per_turn(ref_env):
@@ -433,3 +479,31 @@ def test_eval_report_bytes_are_pinned(eval_boards, name, strict, mode):
     report = evaluate_batch(eval_boards, plans_agent_factory(replies, mode), mode)
     blob = json.dumps(report.to_json_dict(), sort_keys=True).encode()
     assert hashlib.sha256(blob).hexdigest() == _EVAL_DIGESTS[name, strict, mode]
+
+
+# SHA-256 of json.dumps(BatchReport.to_json_dict(), sort_keys=True) for the
+# scripted reachable agents over the same boards at seed 0, so every draw
+# and every move they make is pinned, not only their outcome counts.
+_SCRIPTED_DIGESTS = {
+    "dfs": "6fd65ebd2d4ebec3e38ba4fe61c3fd332aeab58e04f75ded0f5e1b5f56e5bde2",
+    "random": "e383e70be8932c0ba9f0680544f90b489946d0399d0bed8328197471648652af",
+}
+# SHA-256 of every DFS transcript on those boards, one json.dumps of its
+# [role, text] pairs per line
+_DFS_TRANSCRIPTS_DIGEST = "e8ebcc80b0559d1febfeb490223aa184f04ee981453e4f25f7f1bcd3b79c5a20"
+
+
+@pytest.mark.parametrize("kind", sorted(_SCRIPTED_DIGESTS))
+def test_scripted_reachable_report_bytes_are_pinned(eval_boards, kind):
+    report = evaluate_batch(eval_boards, scripted_agent_factory(kind, REACHABLE), REACHABLE)
+    blob = json.dumps(report.to_json_dict(), sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == _SCRIPTED_DIGESTS[kind]
+
+
+def test_dfs_transcripts_are_pinned(eval_boards):
+    factory = scripted_agent_factory("dfs", REACHABLE)
+    digest = hashlib.sha256()
+    for index, spec in enumerate(eval_boards):
+        result = run_episode(spec, factory(spec, index, derive_seed(0, index)), REACHABLE)
+        digest.update(json.dumps([list(turn) for turn in result.transcript]).encode() + b"\n")
+    assert digest.hexdigest() == _DFS_TRANSCRIPTS_DIGEST

@@ -3,9 +3,10 @@ from __future__ import annotations
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gridmind import Action, GridSpec
-from gridmind.generate import TRAIN_PARAMS, generate_indexed
+from gridmind.generate import TEST_PARAMS, TRAIN_PARAMS, generate_indexed
 from gridmind.prompts import (
     ACK_TEXT,
     GPT,
@@ -24,6 +25,7 @@ from gridmind.prompts import (
 )
 
 from conftest import load_golden, translate
+import oracles
 
 
 def test_rules_text_golden():
@@ -152,3 +154,45 @@ def test_round_trip_on_random_envs():
             current, moves = parse_observation(render_observation(spec, pos))
             assert current == pos
             assert moves == valid_actions(spec, pos)
+
+
+# mostly well-formed lines, and a few that are not
+_POSITIONS = ["(1, 2)", "(0, 0)", "(-1, 20)", "(25, 3)", "(03, -0)", "(1,2)", "(1, 2)\r"]
+_WORD_LINES = ["up", "down", "left", "right", " left", "up\r", "Up", ""]
+_LINES = _POSITIONS + _WORD_LINES + ["Current:", "Possible:", "\r", "Current:\r", "Current: (1, 2)"]
+
+
+@st.composite
+def observation_texts(draw):
+    """Observations built line by line or rendered from a board (an
+    environment turn or a plain observation), between arbitrary lines, with
+    one line sometimes dropped."""
+    lines = draw(st.lists(st.sampled_from(_LINES), max_size=5))
+    if draw(st.booleans()):
+        pairs = draw(st.lists(st.tuples(st.sampled_from(_POSITIONS), st.sampled_from(_WORD_LINES)),
+                              max_size=4))
+        lines += ["Current:", draw(st.sampled_from(_POSITIONS)), "Possible:"]
+        lines += [line for pair in pairs for line in pair]
+    else:
+        spec = generate_indexed(draw(st.sampled_from([TRAIN_PARAMS, TEST_PARAMS])),
+                                draw(st.integers(0, 1000)))
+        turn = draw(st.sampled_from([render_environment(spec),
+                                     render_observation(spec, spec.start)]))
+        lines += turn.split("\n")
+    lines += draw(st.lists(st.sampled_from(_LINES), max_size=2))
+    if draw(st.booleans()):
+        del lines[draw(st.integers(0, len(lines) - 1))]
+    return "\n".join(lines)
+
+
+@settings(max_examples=500, deadline=None)
+@given(observation_texts() | st.text(alphabet="Current:Possible(), 0123456789-\n\rupdownleftright"))
+def test_parse_observation_matches_the_line_walk(text):
+    try:
+        expected = oracles.parse_observation(text)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as raised:
+            parse_observation(text)
+        assert str(raised.value) == str(exc)
+    else:
+        assert parse_observation(text) == expected
