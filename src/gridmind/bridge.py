@@ -19,7 +19,6 @@ counts.
 
 from __future__ import annotations
 
-import http.client
 import json
 import os
 import select
@@ -28,7 +27,6 @@ import signal
 import subprocess
 import threading
 import time
-import urllib.request
 from contextlib import suppress
 
 from .harness import Agent, AgentTransportError
@@ -150,6 +148,8 @@ class HttpBridgeAgent(Agent):
 
     def _post(self, obj: dict, deadline: float) -> bytes:
         """POST ``obj``; a reply body not complete by ``deadline`` aborts."""
+        import urllib.request  # here, since stdio and scripted runs never need it
+
         request = urllib.request.Request(self._url, data=_encode(obj),
                                          headers={"Content-Type": "application/json"})
         body = bytearray()
@@ -163,21 +163,25 @@ class HttpBridgeAgent(Agent):
         return bytes(body)
 
     def respond(self, transcript: list[PromptText]) -> str:
+        from http.client import HTTPException
+
         request = {"session": self._session, "messages": _messages(transcript)}
         deadline = time.monotonic() + 2 * self._timeout
         last_error: Exception | None = None
         for _ in (1, 2):
             try:
                 return _parse_reply(self._post(request, deadline))
-            except (http.client.HTTPException, OSError) as exc:  # URLError is an OSError
+            except (HTTPException, OSError) as exc:  # URLError is an OSError
                 last_error = exc
         raise AgentTransportError(f"agent unreachable: {last_error}") from last_error
 
     def close(self, outcome: str) -> None:
+        from http.client import HTTPException
+
         try:
             self._post({"type": "end", "session": self._session, "outcome": outcome},
                        time.monotonic() + 2 * self._timeout)
-        except (http.client.HTTPException, OSError, AgentTransportError):
+        except (HTTPException, OSError, AgentTransportError):
             pass
 
 

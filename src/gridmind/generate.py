@@ -11,14 +11,14 @@ cell was attached to, so the start-to-goal path is read off the tree instead
 of being searched for; pits are drawn beside that path and the environment is
 built once, then solved once for the complexity floor.
 
-All randomness flows through a numpy Generator on PCG64, the only bit
-generator accepted. Record streams are derived with SeedSequence spawn keys,
-so record i is a pure function of (seed, i) and shards can be produced
-concurrently. The scalar bounded draws (size, offset, every growth step, the
-start and goal) are replicated from PCG64's raw output, bit-exact with
-numpy's scalar ``Generator.integers``, without its per-call cost; the pit
-draw is numpy's own ``random``. A property test against numpy and the pinned
-generator bytes guard the replica.
+All randomness flows through ``Pcg64Stream``, a pure-Python stream that is
+bit-exact with numpy's ``Generator(PCG64(seed))``: record streams are seeded
+as ``SeedSequence`` spawn keys would seed them, so record i is a pure
+function of (seed, i) and shards can be produced concurrently. The scalar
+bounded draws (size, offset, every growth step, the start and goal) are
+``Generator.integers(n)`` and the pit draws ``Generator.random()``. The
+output therefore depends on no installed numpy; property tests against
+numpy and the pinned generator bytes guard the stream.
 """
 
 from __future__ import annotations
@@ -26,8 +26,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
-
-import numpy as np
+from functools import lru_cache
 
 from .grid import (FREE, GLOBAL_MAX_COORD, PIT, WALL, GridSpec, board_index, neighbour_steps,
                    ring_board)
@@ -67,68 +66,155 @@ TRAIN_PARAMS = GenParams(size_min=2, size_max=10)
 TEST_PARAMS = GenParams(size_min=2, size_max=20)
 
 
+_M32 = 0xFFFFFFFF
+_M64 = (1 << 64) - 1
+_M128 = (1 << 128) - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+# SeedSequence: a pool of 4 32-bit words, two kinds of hash call, and a mix
+# of two words; the multipliers are numpy's
+_POOL = 4
+_MULT_A = 0x931E8875  # hashing entropy into the pool
+_MULT_B = 0x58F38DED  # hashing the pool out into state
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+
+
+def _hash_steps(const: int, mult: int, count: int) -> list[tuple[int, int]]:
+    """The first ``count`` calls of one kind of hash, as ``(xor, multiplier)``.
+
+    A hash xors in the kind's running constant, steps the constant and
+    multiplies by it, so the constants do not depend on the data.
+    """
+    steps = []
+    for _ in range(count):
+        stepped = const * mult & _M32
+        steps.append((const, stepped))
+        const = stepped
+    return steps
+
+
+_HASH_A = _hash_steps(0x43B0D7E5, _MULT_A, 16)
+_FILL = _HASH_A[:_POOL]  # one call per pool word, hashing an entropy word or 0
+# then each pool word is hashed into every other one, sources in order
+_CROSS = [(src, dst, *step) for (src, dst), step in zip(
+    [(s, d) for s in range(_POOL) for d in range(_POOL) if s != d], _HASH_A[_POOL:])]
+_ABSORB_FROM = _HASH_A[-1][1]  # the constant the next entropy hash xors in
+_OUT = _hash_steps(0x8B51F9DD, _MULT_B, 8)  # up to 4 64-bit words of state
+
+
+def _words(n: int) -> list[int]:
+    """The 32-bit words of ``n``, least significant first."""
+    if n < 0:  # the shifts below would never reach 0
+        raise ValueError("expected non-negative integer")
+    words = [n & _M32]
+    while n := n >> 32:
+        words.append(n & _M32)
+    return words
+
+
+def _absorb(pool: list[int], words: list[int], const: int) -> int:
+    """Hash each of ``words`` into every pool word, from the running hash
+    constant ``const``; returns the constant after."""
+    for word in words:
+        for d in range(_POOL):
+            v = word ^ const
+            const = const * _MULT_A & _M32
+            v = v * const & _M32
+            x = (_MIX_L * pool[d] - _MIX_R * (v ^ v >> 16)) & _M32
+            pool[d] = x ^ x >> 16
+    return const
+
+
+def _mix(words: list[int]) -> tuple[list[int], int]:
+    """numpy's ``SeedSequence`` pool after the entropy ``words``, and the
+    running hash constant. The first words fill the pool, zeros padding it,
+    the pool words are hashed into each other, and every later word is
+    absorbed."""
+    pool = []
+    for (const, mult), word in zip(_FILL, words[:_POOL] + [0] * (_POOL - len(words))):
+        v = (word ^ const) * mult & _M32
+        pool.append(v ^ v >> 16)
+    for src, dst, const, mult in _CROSS:
+        v = (pool[src] ^ const) * mult & _M32
+        x = (_MIX_L * pool[dst] - _MIX_R * (v ^ v >> 16)) & _M32
+        pool[dst] = x ^ x >> 16
+    return pool, _absorb(pool, words[_POOL:], _ABSORB_FROM)
+
+
+def _state(pool: list[int], count: int) -> list[int]:
+    """``SeedSequence.generate_state(count, numpy.uint64)``, ``count <= 4``."""
+    halves = []
+    for i, (const, mult) in enumerate(_OUT[:2 * count]):
+        v = (pool[i % _POOL] ^ const) * mult & _M32
+        halves.append(v ^ v >> 16)
+    return [halves[i] | halves[i + 1] << 32 for i in range(0, 2 * count, 2)]
+
+
+@lru_cache(maxsize=64)
+def _root_pool(root: int) -> tuple[tuple[int, ...], int]:
+    pool, const = _mix(_words(root))
+    return tuple(pool), const
+
+
 def derive_seed(root_seed: int, index: int) -> int:
-    """Stable 64-bit stream seed for record ``index`` under ``root_seed``."""
-    ss = np.random.SeedSequence(root_seed, spawn_key=(index,))
-    return int(ss.generate_state(1, np.uint64)[0])
+    """Stable 64-bit stream seed for record ``index`` under ``root_seed``:
+    ``SeedSequence(root_seed, spawn_key=(index,)).generate_state(1, uint64)``.
+
+    A spawn key pads the root's words to the pool with zeros and follows
+    them, so the root's mixing is shared by all its indices and cached.
+    """
+    pool, const = _root_pool(root_seed)
+    pool = list(pool)
+    _absorb(pool, _words(index), const)
+    return _state(pool, 1)[0]
 
 
-class _Pcg64Draws:
-    """numpy's scalar ``Generator.integers(n)`` on PCG64, replayed from raw output.
+class Pcg64Stream:
+    """numpy's ``Generator(PCG64(seed))``, bit for bit, in pure Python.
 
-    For ``n`` up to 2**32 numpy draws from 32-bit halves of the raw words,
-    low half first, and keeps the high half in the state's ``has_uint32`` and
-    ``uinteger`` for the next draw; Lemire's method rejects a biased half.
-    This reads the raw words in chunks and does the same in Python. ``sync``
-    must run before the generator is used again: it rewinds the words read
-    past the last draw and leaves the buffered half as numpy would, stale
-    ``uinteger`` included. A generator on any bit generator but PCG64 raises
-    ValueError.
+    The 128-bit state and increment come from ``SeedSequence(seed)``; each
+    raw word advances the LCG and outputs its XSL-RR permutation. ``below``
+    draws from 32-bit halves of the raw words, low half first, keeping the
+    high half for the next draw; ``random`` takes a whole word and leaves
+    that half alone. A negative seed raises ValueError.
     """
 
-    _CHUNK = 64  # raw words per read: most attempts on a 20x20 board need fewer
+    __slots__ = ("_state", "_inc", "_half")
 
-    def __init__(self, rng: np.random.Generator):
-        if type(rng.bit_generator) is not np.random.PCG64:
-            raise ValueError(f"the draw replica follows numpy's PCG64; got a "
-                             f"{type(rng.bit_generator).__name__} generator")
-        self._bitgen = rng.bit_generator
-        self._state = self._bitgen.state
-        self._halves = [self._state["uinteger"]] if self._state["has_uint32"] else []
-        self._pending = len(self._halves)
-        self._read = 0  # raw words read
-        self._next = 0  # index in _halves of the next draw's half
+    def __init__(self, seed: int):
+        s0, s1, s2, s3 = _state(_mix(_words(seed))[0], 4)
+        # PCG64's seeding: from state 0 step once, add the initial state and
+        # step again; the increment is odd
+        self._inc = ((s2 << 64 | s3) << 1 | 1) & _M128
+        self._state = ((self._inc + (s0 << 64 | s1)) * _PCG_MULT + self._inc) & _M128
+        self._half: int | None = None
+
+    def _raw(self) -> int:
+        state = self._state = (self._state * _PCG_MULT + self._inc) & _M128
+        x = (state >> 64 ^ state) & _M64
+        r = state >> 122
+        return (x >> r | x << (64 - r)) & _M64
 
     def below(self, n: int) -> int:
-        """``int(rng.integers(n))`` for ``1 <= n <= 2**32``; a bound of 1 reads nothing."""
+        """``int(Generator.integers(n))`` for ``1 <= n <= 2**32``, by Lemire's
+        method on 32-bit halves; a bound of 1 reads nothing."""
         if n == 1:
             return 0
-        halves, i = self._halves, self._next
+        half = self._half
         while True:
-            if i == len(halves):
-                halves += self._bitgen.random_raw(self._CHUNK).astype("<u8", copy=False) \
-                    .view("<u4").tolist()
-                self._read += self._CHUNK
-            m = halves[i] * n
-            i += 1
-            low = m & 0xFFFFFFFF
+            if half is None:
+                word = self._raw()
+                m, half = (word & _M32) * n, word >> 32
+            else:
+                m, half = half * n, None
+            low = m & _M32
             if low >= n or low >= (0x100000000 - n) % n:
-                self._next = i
+                self._half = half
                 return m >> 32
 
-    def sync(self) -> None:
-        """Leave the generator's state as numpy's own draws would have."""
-        i, state = self._next, self._state
-        spent = i - self._pending  # raw halves drawn; -1 if not even the buffered one
-        has, value = state["has_uint32"], state["uinteger"]
-        if i:  # an odd count leaves the high half of the last word buffered, an
-            # even one leaves the last half drawn behind as a stale uinteger
-            has = spent % 2
-            value = self._halves[i if has else i - 1]
-        self._bitgen.advance(-(self._read - (spent + 1) // 2))
-        state = self._bitgen.state  # advance() clears the buffered half
-        state["has_uint32"], state["uinteger"] = has, value
-        self._bitgen.state = state
+    def random(self) -> float:
+        """``Generator.random()``: the top 53 bits of one raw word."""
+        return (self._raw() >> 11) * (1.0 / 9007199254740992.0)
 
 
 def _grow_induced_tree(w: int, h: int, target: int, below: Callable[[int], int]) -> dict[int, int]:
@@ -198,9 +284,8 @@ def _tree_path(parent: dict[int, int], a: int, b: int) -> list[int]:
     return path + above_a[: above_a.index(b) + 1]
 
 
-def _attempt(params: GenParams, rng: np.random.Generator, seed: int | None) -> GridSpec:
-    draws = _Pcg64Draws(rng)
-    below = draws.below
+def _attempt(params: GenParams, stream: Pcg64Stream, seed: int) -> GridSpec:
+    below = stream.below
     w = params.size_min + below(params.size_max - params.size_min + 1)
     h = params.size_min + below(params.size_max - params.size_min + 1)
     span = GLOBAL_MAX_COORD + 1
@@ -216,7 +301,6 @@ def _attempt(params: GenParams, rng: np.random.Generator, seed: int | None) -> G
     if j >= i:
         j += 1
     start, goal = free[i], free[j]
-    draws.sync()
 
     board = ring_board(w, h)
     for c, mark in enumerate(board):
@@ -225,26 +309,24 @@ def _attempt(params: GenParams, rng: np.random.Generator, seed: int | None) -> G
     # pits only replace walls beside the solution, which the free tree
     # already fixes; one draw per such wall, in (x, y) order
     beside = {cell + d for cell in _tree_path(parent, start, goal) for d in neighbour_steps(h)}
-    beside_walls = sorted(c for c in beside if board[c] == WALL)
-    for c, r in zip(beside_walls, rng.random(len(beside_walls)).tolist()):
-        if r < params.pit_density:
+    for c in sorted(beside):
+        if board[c] == WALL and stream.random() < params.pit_density:
             board[c] = PIT
     return GridSpec.from_board(board, ox, oy, w, h, start, goal, seed)
 
 
-def generate_environment(
-    params: GenParams, rng: np.random.Generator, seed: int | None = None
-) -> GridSpec:
-    """Draw one environment from ``params`` using ``rng``.
+def generate_environment(params: GenParams, seed: int) -> GridSpec:
+    """Draw one environment from ``params`` on the stream ``Pcg64Stream(seed)``.
 
     Environments whose solution never offers a choice (complexity below ln 2)
-    are redrawn; after RETRY_BUDGET failed draws a GenerationError reports the
-    offending parameters instead of looping forever. ``rng`` must run on
-    ``numpy.random.PCG64``, whose draws growth replicates.
+    are redrawn from the same stream; after RETRY_BUDGET failed draws a
+    GenerationError reports the offending parameters instead of looping
+    forever. ``seed`` is recorded on the result.
     """
     params.validate()
+    stream = Pcg64Stream(seed)
     for _ in range(RETRY_BUDGET):
-        spec = _attempt(params, rng, seed)
+        spec = _attempt(params, stream, seed)
         if complexity(spec) >= _LN2 - 1e-12:
             spec.validate()
             return spec
@@ -258,7 +340,6 @@ def generate_indexed(params: GenParams, index: int) -> GridSpec:
 
     The derived stream seed is recorded on the result, so the same
     environment can also be rebuilt directly from it:
-    ``generate_environment(params, numpy.random.default_rng(spec.seed), spec.seed)``.
+    ``generate_environment(params, spec.seed)``.
     """
-    seed = derive_seed(params.seed, index)
-    return generate_environment(params, np.random.default_rng(seed), seed)
+    return generate_environment(params, derive_seed(params.seed, index))

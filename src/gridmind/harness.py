@@ -24,11 +24,9 @@ from dataclasses import asdict, dataclass, field
 from enum import Enum
 from pathlib import Path
 
-import numpy as np
-
 from .cogmap import PlanParseError, parse_plan, serialize_plan
 from .dataset import read_jsonl
-from .generate import _Pcg64Draws, derive_seed
+from .generate import Pcg64Stream, derive_seed
 from .grid import ACTION_BY_WORD, FREE, PIT, Action, GridSpec, neighbour_steps, optimal_path
 from .prompts import (
     GPT,
@@ -97,15 +95,11 @@ class OracleAgent(Agent):
 
 
 class RandomValidAgent(Agent):
-    """Picks uniformly among the moves the observation offers.
+    """Picks uniformly among the moves the observation offers, drawing
+    from the stream ``Pcg64Stream(seed)``."""
 
-    The agent owns ``rng``, which must run on PCG64: its draws are replayed
-    from ``rng``'s raw output and never synced back, so nothing else may
-    draw from it.
-    """
-
-    def __init__(self, rng: np.random.Generator):
-        self._below = _Pcg64Draws(rng).below
+    def __init__(self, seed: int):
+        self._below = Pcg64Stream(seed).below
 
     def respond(self, transcript: list[PromptText]) -> str:
         _, moves = parse_observation(transcript[-1].text)
@@ -120,13 +114,12 @@ class DfsAgent(Agent):
 
     Advances to a uniformly chosen unvisited destination when one exists,
     otherwise retreats one step along the path that got it here. Complete on
-    the generated environments, where free cells form a tree. The agent owns
-    ``rng``, which must run on PCG64: its draws are replayed from ``rng``'s
-    raw output and never synced back, so nothing else may draw from it.
+    the generated environments, where free cells form a tree. Its choices
+    draw from the stream ``Pcg64Stream(seed)``.
     """
 
-    def __init__(self, rng: np.random.Generator):
-        self._below = _Pcg64Draws(rng).below
+    def __init__(self, seed: int):
+        self._below = Pcg64Stream(seed).below
         self._visited: set[tuple[int, int]] = set()
         self._undo: list[Action] = []
 
@@ -270,8 +263,7 @@ def scripted_agent_factory(kind: str, mode: str):
     def factory(spec: GridSpec, index: int, episode_seed: int) -> Agent:
         if kind == "oracle":
             return OracleAgent(spec, mode)
-        rng = np.random.default_rng(episode_seed)
-        return RandomValidAgent(rng) if kind == "random" else DfsAgent(rng)
+        return (RandomValidAgent if kind == "random" else DfsAgent)(episode_seed)
 
     return factory
 

@@ -238,7 +238,7 @@ def test_acceptance_7_determinism(ref_env, tmp_path):
 
         transcripts = []
         for _ in range(2):
-            result = run_episode(ref_env, DfsAgent(np.random.default_rng(1)), REACHABLE)
+            result = run_episode(ref_env, DfsAgent(1), REACHABLE)
             transcripts.append([(t.role, t.text) for t in result.transcript])
         assert transcripts[0] == transcripts[1]
 

@@ -428,3 +428,38 @@ def test_cli_runs_as_a_module(tmp_path):
     )
     assert result.returncode == 0
     assert (tmp_path / "train-bwd-none-0000-of-0001.jsonl").exists()
+
+
+@pytest.mark.parametrize("command", ["generate", "eval"])
+def test_a_negative_seed_exits_with_the_reason(tmp_path, capsys, command):
+    """A seed split into 32-bit words must refuse a negative int, not loop."""
+    import os
+    import subprocess
+    import sys
+
+    env = dict(os.environ)
+    if command == "generate":
+        argv = gen_args(tmp_path / "data", count=2, seed="-1")
+    else:
+        run_cli(gen_args(tmp_path, count=2, variant="bwd-none"), capsys)
+        argv = ["eval", "--test-file", str(tmp_path / "train-bwd-none-0000-of-0001.jsonl"),
+                "--agent", "oracle", "--mode", "optimal"]
+        env["GRIDMIND_SEED"] = "-1"
+    result = subprocess.run([sys.executable, "-m", "gridmind.cli", *argv], env=env,
+                            capture_output=True, text=True, timeout=10)
+    assert result.returncode == 1
+    assert "expected non-negative integer" in result.stderr
+
+
+def test_the_command_line_imports_neither_numpy_nor_http():
+    """Start-up stays lean: numpy is only the tests' oracle, and the HTTP
+    modules load with the first HTTP agent."""
+    import subprocess
+    import sys
+
+    probe = ("import sys, gridmind.cli; "
+             "print(*sorted({'numpy', 'http.client', 'urllib.request'} & set(sys.modules)))")
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                            timeout=30)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == ""

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gridmind import GenParams, GenerationError, GridSpec, generate_environment, generate_indexed
-from gridmind.generate import TEST_PARAMS, TRAIN_PARAMS, _Pcg64Draws, derive_seed
+from gridmind.generate import TEST_PARAMS, TRAIN_PARAMS, Pcg64Stream, derive_seed
 from gridmind.grid import GLOBAL_MAX_COORD
 from gridmind.stats import complexity
 
@@ -23,6 +23,17 @@ def test_derive_seed_stable_and_distinct():
     assert derive_seed(7, 3) != derive_seed(8, 3)
 
 
+@pytest.mark.parametrize("root, index", [(-1, 0), (0, -1), (-(2 ** 70), 3)])
+def test_a_negative_root_or_index_raises(root, index):
+    with pytest.raises(ValueError, match="expected non-negative integer"):
+        derive_seed(root, index)
+
+
+def test_a_stream_from_a_negative_seed_raises():
+    with pytest.raises(ValueError, match="expected non-negative integer"):
+        generate_environment(TRAIN_PARAMS, -1)
+
+
 def test_generation_is_deterministic():
     specs_a = [generate_indexed(TRAIN_PARAMS, i) for i in range(25)]
     specs_b = [generate_indexed(TRAIN_PARAMS, i) for i in range(25)]
@@ -30,14 +41,10 @@ def test_generation_is_deterministic():
 
 
 def test_recorded_seed_regenerates_spec():
-    import numpy as np
-
     for index in (0, 11, 42):
         spec = generate_indexed(TEST_PARAMS, index)
         assert spec.seed == derive_seed(TEST_PARAMS.seed, index)
-        again = generate_environment(
-            TEST_PARAMS, np.random.default_rng(spec.seed), seed=spec.seed
-        )
+        again = generate_environment(TEST_PARAMS, spec.seed)
         assert again == spec
 
 
@@ -116,7 +123,7 @@ def test_generation_error_when_complexity_is_unreachable():
     # 2x2 rooms with heavy walls leave no room for a branching decision
     params = GenParams(size_min=2, size_max=2, wall_density=0.95, seed=5)
     with pytest.raises(GenerationError):
-        generate_environment(params, np.random.default_rng(derive_seed(params.seed, 0)))
+        generate_environment(params, derive_seed(params.seed, 0))
 
 
 def test_params_validation():
@@ -157,38 +164,42 @@ def test_generator_bytes_are_pinned(split):
     assert digest.hexdigest() == expected
 
 
+# numpy is the oracle for the stream: SeedSequence mixing, PCG64's raw words,
+# Generator.integers and Generator.random, and how the last two interleave.
+# Roots above 2**128 have more words than the pool holds; indices of 2**32
+# and above are more than one word.
+_BIG = st.one_of(st.integers(0, 2 ** 32 - 1), st.integers(2 ** 32, 2 ** 64),
+                 st.integers(2 ** 128, 2 ** 300))
 # small bounds as growth draws them, powers of two, and bounds above 2**31,
 # where Lemire's method rejects up to half the 32-bit halves
 _BOUNDS = st.one_of(st.integers(1, 500), st.sampled_from([2 ** k for k in range(33)]),
                     st.integers(2 ** 31 + 1, 2 ** 32))
+_SEEDS = st.one_of(st.integers(0, 2 ** 64 - 1), st.integers(2 ** 64, 2 ** 200))
 
 
 @settings(max_examples=300, deadline=None)
-@given(seed=st.integers(0, 2 ** 64 - 1), pending=st.none() | st.integers(0, 2 ** 32 - 1),
-       bounds=st.lists(_BOUNDS, max_size=300), k=st.integers(1, 2 ** 40))
-def test_the_draw_replica_matches_numpy(seed, pending, bounds, k):
-    """Same values, same state after, same follow-on draws: a numpy that
-    changes its bounded draw fails here rather than drifting the output."""
-    def generator():
-        rng = np.random.Generator(np.random.PCG64(seed))
-        if pending is not None:  # a 32-bit half buffered by an earlier draw
-            state = rng.bit_generator.state
-            state["has_uint32"], state["uinteger"] = 1, pending
-            rng.bit_generator.state = state
-        return rng
-
-    ours, theirs = generator(), generator()
-    draws = _Pcg64Draws(ours)
-    assert [draws.below(n) for n in bounds] == [int(theirs.integers(n)) for n in bounds]
-    draws.sync()
-    assert ours.bit_generator.state == theirs.bit_generator.state
-    assert ours.random() == theirs.random()
-    assert ours.integers(k, size=5).tolist() == theirs.integers(k, size=5).tolist()
+@given(root=_BIG, index=_BIG)
+def test_derive_seed_matches_numpy(root, index):
+    expected = np.random.SeedSequence(root, spawn_key=(index,)).generate_state(1, np.uint64)
+    assert derive_seed(root, index) == int(expected[0])
 
 
-def test_only_pcg64_generators_are_accepted():
-    with pytest.raises(ValueError, match="PCG64"):
-        generate_environment(TRAIN_PARAMS, np.random.Generator(np.random.Philox(1)))
+@settings(max_examples=200, deadline=None)
+@given(seed=_SEEDS, count=st.integers(1, 40))
+def test_raw_words_match_numpy(seed, count):
+    ours = Pcg64Stream(seed)
+    assert [ours._raw() for _ in range(count)] == \
+        np.random.PCG64(seed).random_raw(count).tolist()
+
+
+@settings(max_examples=400, deadline=None)
+@given(seed=_SEEDS, draws=st.lists(st.none() | _BOUNDS, max_size=300))
+def test_the_draw_replica_matches_numpy(seed, draws):
+    """Bounded draws, with ``None`` standing for a ``random()``: it takes a
+    whole word and leaves a buffered half for the next bounded draw."""
+    ours, theirs = Pcg64Stream(seed), np.random.Generator(np.random.PCG64(seed))
+    assert [ours.random() if n is None else ours.below(n) for n in draws] == \
+        [theirs.random() if n is None else int(theirs.integers(n)) for n in draws]
 
 
 @pytest.mark.parametrize("params", [TRAIN_PARAMS, TEST_PARAMS], ids=["train", "test"])

@@ -4,7 +4,6 @@ import hashlib
 import json
 import re
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -191,7 +190,7 @@ def test_dfs_transcript_golden(ref_env):
     for line in lines:
         role, text = line.split("\t", 1)
         golden.append((role, text.replace("\\n", "\n")))
-    result = run_episode(ref_env, DfsAgent(np.random.default_rng(1)), REACHABLE)
+    result = run_episode(ref_env, DfsAgent(1), REACHABLE)
     assert result.outcome is Outcome.SUCCESS
     assert [(t.role, t.text) for t in result.transcript[3:]] == golden
 
@@ -200,15 +199,15 @@ def test_dfs_explores_every_tree_without_getting_stuck():
     for index in range(30):
         spec = generate_indexed(TRAIN_PARAMS, index)
         budget = 4 * len(spec.free_cells())
-        result = run_episode(spec, DfsAgent(np.random.default_rng(index)), REACHABLE, budget)
+        result = run_episode(spec, DfsAgent(index), REACHABLE, budget)
         assert result.outcome is Outcome.SUCCESS, index
         assert result.steps <= 2 * len(spec.free_cells())
 
 
 @pytest.mark.parametrize("agent", [DfsAgent, RandomValidAgent])
-def test_scripted_agents_take_pcg64_generators_only(agent):
-    with pytest.raises(ValueError, match="PCG64"):
-        agent(np.random.Generator(np.random.Philox(1)))
+def test_scripted_agents_reject_a_negative_seed(agent):
+    with pytest.raises(ValueError, match="expected non-negative integer"):
+        agent(-1)
 
 
 _WORDS = ["up", "down", "left", "right"]
