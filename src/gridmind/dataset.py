@@ -18,7 +18,7 @@ from pathlib import Path
 from .cogmap import VARIANT_NAMES, CotVariant, join_reply, render_parts
 from .generate import GenParams, TEST_PARAMS, TRAIN_PARAMS, generate_indexed
 from .grid import GridSpec, count_simple_paths, optimal_path
-from .prompts import GPT, PromptText, render_instruction
+from .prompts import ACK_TEXT, GPT, RULES_TEXT, PromptText, render_instruction
 from .stats import METRICS, StatsReport, complexity, record_metrics, sidecar_text
 
 TRAIN = "train"
@@ -96,19 +96,31 @@ def _check_keys(name: str, obj: dict, keys: tuple[str, ...]) -> None:
         raise ValueError(f"{name} keys {list(obj.keys())} != {list(keys)}")
 
 
+# the opening turns every record shares, rules then acknowledgement
+_FIXED_CHARS = len(RULES_TEXT) + len(ACK_TEXT)
+_FIXED_WORDS = len(RULES_TEXT.split()) + len(ACK_TEXT.split())
+
+
+def _words(text: str) -> int:
+    """``len(text.split())`` for a text whose words are separated by single
+    spaces or newlines, as in every text a record renders but the rules."""
+    return text.count(" ") + text.count("\n") + 1 if text else 0
+
+
 def record_for(
     spec: GridSpec, index: int, split: str, variant: CotVariant, strict: bool = False
 ) -> DatasetRecord:
     """The record ``generate`` writes for ``spec``: conversation and metrics."""
     opening = render_instruction(spec)
+    environment = opening[2].text
     thought, plan = render_parts(spec, variant, strict)
     lengths = {
-        "instruction_chars": sum(len(t.text) for t in opening),
+        "instruction_chars": _FIXED_CHARS + len(environment),
         "thought_chars": len(thought),
         "plan_chars": len(plan),
-        "instruction_words": sum(len(t.text.split()) for t in opening),
-        "thought_words": len(thought.split()),
-        "plan_words": len(plan.split()),
+        "instruction_words": _FIXED_WORDS + _words(environment),
+        "thought_words": _words(thought),
+        "plan_words": _words(plan),
     }
     conversation = opening + [PromptText(GPT, join_reply(thought, plan))]
     return DatasetRecord(index, split, variant, spec, conversation, complexity(spec), lengths)

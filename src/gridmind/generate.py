@@ -8,8 +8,9 @@ path, so every generated environment has a unique solution by construction.
 Growth works on the board layout of :mod:`gridmind.grid`: its int cells are
 the spec's board indices, in (x, y) order. It records the free neighbour each
 cell was attached to, so the start-to-goal path is read off the tree instead
-of being searched for; pits are drawn beside that path and the environment is
-built once, then solved once for the complexity floor.
+of being searched for; pits are drawn beside that path, and the environment
+is built once with that path as its solution, which the complexity floor
+reads without a search.
 
 All randomness flows through ``Pcg64Stream``, a pure-Python stream that is
 bit-exact with numpy's ``Generator(PCG64(seed))``: record streams are seeded
@@ -112,16 +113,20 @@ def _words(n: int) -> list[int]:
     return words
 
 
-def _absorb(pool: list[int], words: list[int], const: int) -> int:
-    """Hash each of ``words`` into every pool word, from the running hash
-    constant ``const``; returns the constant after."""
+def _absorb(pool: list[int], words: list[int], const: int, width: int = _POOL) -> int:
+    """Hash each of ``words`` into the first ``width`` pool words, from the
+    running hash constant ``const``; returns the constant after. The constant
+    steps once per pool word, hashed or not, and each pool word is hashed from
+    itself alone, so the first ``width`` end as a full absorb leaves them."""
     for word in words:
-        for d in range(_POOL):
+        for d in range(width):
             v = word ^ const
             const = const * _MULT_A & _M32
             v = v * const & _M32
             x = (_MIX_L * pool[d] - _MIX_R * (v ^ v >> 16)) & _M32
             pool[d] = x ^ x >> 16
+        for _ in range(width, _POOL):
+            const = const * _MULT_A & _M32
     return const
 
 
@@ -161,11 +166,12 @@ def derive_seed(root_seed: int, index: int) -> int:
     ``SeedSequence(root_seed, spawn_key=(index,)).generate_state(1, uint64)``.
 
     A spawn key pads the root's words to the pool with zeros and follows
-    them, so the root's mixing is shared by all its indices and cached.
+    them, so the root's mixing is shared by all its indices and cached. The
+    seed reads pool words 0 and 1 only, so the index is hashed into those.
     """
     pool, const = _root_pool(root_seed)
     pool = list(pool)
-    _absorb(pool, _words(index), const)
+    _absorb(pool, _words(index), const, 2)
     return _state(pool, 1)[0]
 
 
@@ -271,17 +277,17 @@ def _grow_induced_tree(w: int, h: int, target: int, below: Callable[[int], int])
 
 
 def _tree_path(parent: dict[int, int], a: int, b: int) -> list[int]:
-    """The cells on the unique ``a``-``b`` path of the tree, in no fixed order."""
+    """The cells on the unique ``a``-``b`` path of the tree, from ``a`` to ``b``."""
     above_a = []
     while a != -1:
         above_a.append(a)
         a = parent[a]
     on_a = set(above_a)
-    path = []
+    above_b = []
     while b not in on_a:
-        path.append(b)
+        above_b.append(b)
         b = parent[b]
-    return path + above_a[: above_a.index(b) + 1]
+    return above_a[: above_a.index(b) + 1] + above_b[::-1]
 
 
 def _attempt(params: GenParams, stream: Pcg64Stream, seed: int) -> GridSpec:
@@ -308,11 +314,12 @@ def _attempt(params: GenParams, stream: Pcg64Stream, seed: int) -> GridSpec:
             board[c] = WALL
     # pits only replace walls beside the solution, which the free tree
     # already fixes; one draw per such wall, in (x, y) order
-    beside = {cell + d for cell in _tree_path(parent, start, goal) for d in neighbour_steps(h)}
+    path = _tree_path(parent, start, goal)
+    beside = {cell + d for cell in path for d in neighbour_steps(h)}
     for c in sorted(beside):
         if board[c] == WALL and stream.random() < params.pit_density:
             board[c] = PIT
-    return GridSpec.from_board(board, ox, oy, w, h, start, goal, seed)
+    return GridSpec.from_board(board, ox, oy, w, h, path, seed)
 
 
 def generate_environment(params: GenParams, seed: int) -> GridSpec:

@@ -66,6 +66,10 @@ GLOBAL_MAX_COORD = 19
 # the marks of GridSpec.board
 FREE, WALL, PIT, OFF = -1, -2, -3, -4
 
+# ln of a cell's number of free neighbours; every cell of a path but its
+# last has at least one, so the entry for none is never read
+_LOG = (0.0, *map(math.log, range(1, 5)))
+
 
 def ring_board(size_x: int, size_y: int) -> list[int]:
     """The marks of a ``size_x`` by ``size_y`` board of FREE cells and its ring."""
@@ -144,64 +148,81 @@ class GridSpec:
 
     @classmethod
     def from_board(cls, board: list[int], min_x: int, min_y: int, size_x: int, size_y: int,
-                   start: int, goal: int, seed: int | None = None) -> "GridSpec":
-        """The spec laid out as ``board``, with its start and goal at those indices.
+                   path: list[int], seed: int | None = None) -> "GridSpec":
+        """The spec laid out as ``board``, whose free cells form one tree, with
+        ``path`` the board indices of its start-to-goal path, start first.
 
         The one place a board built elsewhere becomes a spec's ``board``
         cache, so that a board already marked with its walls and pits is
-        not laid out again.
+        not laid out again, and its path the solution, so that it is not
+        searched for.
         """
         where = board_positions(min_x, min_y, size_x, size_y)
-        spec = cls(min_x, min_y, size_x, size_y, where[start], where[goal],
+        spec = cls(min_x, min_y, size_x, size_y, where[path[0]], where[path[-1]],
                    frozenset(where[c] for c, mark in enumerate(board) if mark == WALL),
                    frozenset(where[c] for c, mark in enumerate(board) if mark == PIT), seed)
-        spec.__dict__["board"] = tuple(board)  # where cached_property keeps it
+        spec.__dict__["board"] = tuple(board)  # where cached_property keeps them
+        spec.__dict__["_solution"] = spec._along(path, True)
         return spec
 
     @cached_property
-    def _solution(self) -> tuple[tuple[Action, Position], ...] | None:
-        """The BFS start-to-goal trajectory, None when the goal is unreachable.
+    def _solution(self) -> Solution | None:
+        """The BFS solution, None when the goal is unreachable.
 
-        Solved on first use and kept on the spec; read it via ``optimal_path``.
+        One flood of the start's whole component, kept on the spec, gives
+        the path, its complexity and whether the component is a tree, which
+        it is exactly when no probe reaches an already reached cell other
+        than the probing cell's BFS parent. Read it via ``optimal_path``,
+        ``count_simple_paths`` and ``stats.complexity``.
         """
         start, goal = self.cell(self.start), self.cell(self.goal)
-        # FREE until reached, then the position in neighbour_steps of the step in
+        # FREE until reached, then the position in neighbour_steps of the
+        # step in; 4, a step of 0, at the start, which is its own parent
         via = list(self.board)
         if via[start] != FREE or via[goal] != FREE:
             return None
         steps = neighbour_steps(self.size_y)
+        back = (*steps, 0)
         indexed = tuple(enumerate(steps))
-        via[start] = OFF
+        via[start] = 4
+        tree = True
         frontier = [start]
-        while via[goal] == FREE:
-            if not frontier:
-                return None
+        while frontier:
             nxt = []
             for c in frontier:
+                parent = c - back[via[c]]
                 for i, d in indexed:
                     n = c + d
-                    if via[n] == FREE:
+                    v = via[n]
+                    if v == FREE:
                         via[n] = i
                         nxt.append(n)
+                    elif v >= 0 and n != parent:
+                        tree = False
             frontier = nxt
-        path: Trajectory = []
-        (x, y), c = self.goal, goal
+        if via[goal] < 0:
+            return None
+        cells = [goal]
+        c = goal
         while c != start:
-            i = via[c]
-            action, dx, dy = _STEPS[i]
-            path.append((action, (x, y)))
-            x, y, c = x - dx, y - dy, c - steps[i]
-        return tuple(reversed(path))
+            c -= steps[via[c]]
+            cells.append(c)
+        cells.reverse()
+        return self._along(cells, tree)
 
-    @cached_property
-    def _complexity(self) -> float:
-        """``stats.complexity``, computed on first use and kept on the spec."""
-        board, steps = self.board, neighbour_steps(self.size_y)
-        cells = map(self.cell, path_states(self, optimal_path(self))[:-1])
+    def _along(self, cells: list[int], tree: bool) -> Solution:
+        """The solution along the board indices ``cells``, start first."""
+        board, col = self.board, self.size_y + 2
+        action = dict(zip(neighbour_steps(self.size_y), ACTIONS))
+        ox, oy = self.min_x - 1, self.min_y - 1
+        path = []
         total = 0.0  # left to right, never sum(): see the stats module
-        for c in cells:
-            total += math.log([board[c + d] for d in steps].count(FREE))
-        return total
+        for c, n in zip(cells, cells[1:]):
+            total += _LOG[(board[c + 1] == FREE) + (board[c - 1] == FREE)
+                          + (board[c - col] == FREE) + (board[c + col] == FREE)]
+            x, y = divmod(n, col)
+            path.append((action[n - c], (x + ox, y + oy)))
+        return tuple(path), total, tree
 
     def free_cells(self) -> list[Position]:
         """All free cells in lexicographic order."""
@@ -286,6 +307,8 @@ class GridSpec:
 
 
 Trajectory = list[tuple[Action, Position]]
+# a spec's trajectory, its complexity, and whether the start's component is a tree
+Solution = tuple[tuple[tuple[Action, Position], ...], float, bool]
 
 
 _NOT_STANDABLE = {OFF: "out of bounds", WALL: "a wall", PIT: "a pit"}
@@ -314,10 +337,10 @@ def optimal_path(spec: GridSpec) -> Trajectory:
     simple path. Each spec is solved once; every call returns a fresh list.
     Raises ValueError when the goal is unreachable.
     """
-    path = spec._solution
-    if path is None:
+    solution = spec._solution
+    if solution is None:
         raise ValueError("goal is unreachable from start")
-    return list(path)
+    return list(solution[0])
 
 
 def path_states(spec: GridSpec, path: Trajectory) -> list[Position]:
@@ -328,18 +351,23 @@ def path_states(spec: GridSpec, path: Trajectory) -> list[Position]:
 def count_simple_paths(spec: GridSpec) -> int:
     """Simple start-to-goal paths over free cells: 0, 1, or 2 for two or more.
 
-    Linear in the number of free cells: flood-fill the free cells without
-    crossing an edge of the BFS solution. Two solution cells in one region
-    are joined by a detour, which splices into a second simple path, and a
-    second simple path must leave the solution and rejoin it by such a
-    detour. So the solution is unique iff no region holds two of its cells.
+    Linear in the number of free cells. When the start's component is a
+    tree, as on every generated board, the solution is its one simple path.
+    Otherwise flood-fill the free cells without crossing an edge of the BFS
+    solution. Two solution cells in one region are joined by a detour, which
+    splices into a second simple path, and a second simple path must leave
+    the solution and rejoin it by such a detour. So the solution is unique
+    iff no region holds two of its cells.
 
     The flood marks a copy of the board: each solution cell with its index
     on the path, each flooded cell closed.
     """
-    path = spec._solution
-    if path is None:
+    solution = spec._solution
+    if solution is None:
         return 0
+    path, _, tree = solution
+    if tree:
+        return 1
     roots = list(map(spec.cell, path_states(spec, path)))
     mark = list(spec.board)
     for i, root in enumerate(roots):

@@ -19,6 +19,7 @@ SVG with the training size range outlined in red.
 from __future__ import annotations
 
 import csv
+import json
 import math
 from collections import defaultdict
 from dataclasses import dataclass, field
@@ -41,9 +42,13 @@ _SLOTS = range(len(METRICS))
 def complexity(spec: GridSpec) -> float:
     """Sum of ln(number of valid moves) over solution states, goal excluded.
 
-    Computed once per spec and kept on it, beside its solution.
+    Added up with the solution and kept on the spec beside it. Raises
+    ValueError when the goal is unreachable.
     """
-    return spec._complexity
+    solution = spec._solution
+    if solution is None:
+        raise ValueError("goal is unreachable from start")
+    return solution[1]
 
 
 def _empty_cell() -> list:
@@ -92,9 +97,7 @@ class StatsReport:
         return self
 
     def to_json_dict(self) -> dict:
-        overall = _empty_cell()
-        for cell in self.cells.values():
-            _fold(overall, *cell)
+        overall = _overall(self)
         return {
             "count": overall[0],
             "overall": _metric_dicts(overall),
@@ -102,25 +105,53 @@ class StatsReport:
         }
 
 
+def _overall(stats: StatsReport) -> list:
+    """All cells of ``stats`` folded into one, in insertion order."""
+    overall = _empty_cell()
+    for cell in stats.cells.values():
+        _fold(overall, *cell)
+    return overall
+
+
+def _cell_template(pad: str) -> str:
+    """The sidecar text of one cell's ``_metric_dicts`` at indentation
+    ``pad``, with a ``%r`` for each number."""
+    inner, leaf = pad + "  ", pad + "    "
+    numbers = ("," + leaf).join(f'"{k}": %r' for k in ("count", "mean", "min", "max", "total"))
+    metrics = (f'"{metric}": {{{leaf}{numbers}{inner}}}' for metric in METRICS)
+    return "{" + inner + ("," + inner).join(metrics) + pad + "}"
+
+
+_OVERALL_TEMPLATE = _cell_template("\n  ")
+_CELL_TEMPLATE = _cell_template("\n    ")
+
+
+def _cell_text(template: str, cell: list) -> str:
+    count, totals, minima, maxima = cell
+    numbers = []
+    for total, vmin, vmax in zip(totals, minima, maxima):
+        numbers += (count, total / count, vmin, vmax, total)
+    return template % tuple(numbers)
+
+
 def sidecar_text(stats: StatsReport) -> str:
     """The stats sidecar ``generate`` writes and ``verify`` expects, byte for byte.
 
-    These are the bytes of ``json.dumps(stats.to_json_dict(), indent=2) + "\\n"``,
-    made in under half the time of json's pure-Python indenting encoder;
-    ``verify`` renders one per sidecar it checks.
+    These are the bytes of ``json.dumps(stats.to_json_dict(), indent=2) + "\\n"``.
+    Each cell is formatted from one template, ``repr`` spelling each finite
+    number as json does, in under half the time of json's pure-Python
+    indenting encoder; ``verify`` renders one per sidecar it checks. A
+    report with no records writes ``null`` for its means and extremes, so
+    json writes it.
     """
-    return _indented(stats.to_json_dict(), "\n") + "\n"
-
-
-def _indented(obj: dict, pad: str) -> str:
-    """``json.dumps(obj, indent=2)`` for nested dicts of plain-text keys and
-    finite numbers or None, so ``repr`` spells each number as json does."""
-    if not obj:
-        return "{}"
-    inner = pad + "  "
-    items = (f'"{k}": {_indented(v, inner) if type(v) is dict else "null" if v is None else repr(v)}'
-             for k, v in obj.items())
-    return "{" + inner + ("," + inner).join(items) + pad + "}"
+    overall = _overall(stats)
+    if not overall[0]:
+        return json.dumps(stats.to_json_dict(), indent=2) + "\n"
+    cells = ",".join(f'\n    "{x}x{y}": {_cell_text(_CELL_TEMPLATE, cell)}'
+                     for (x, y), cell in sorted(stats.cells.items()))
+    return (f'{{\n  "count": {overall[0]!r},'
+            f'\n  "overall": {_cell_text(_OVERALL_TEMPLATE, overall)},'
+            f'\n  "cells": {{{cells}\n  }}\n}}\n')
 
 
 def record_metrics(record) -> tuple[int, int, tuple[float, ...]]:

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from gridmind.cogmap import CotVariant
+from gridmind.cogmap import ALL_VARIANTS, CotVariant, join_reply, render_parts
 from gridmind.dataset import (
     LENGTH_KEYS,
     RECORD_KEYS,
@@ -29,7 +29,7 @@ from gridmind.dataset import (
     stats_from_files,
     verify_dataset,
 )
-from gridmind.generate import TRAIN_PARAMS
+from gridmind.generate import TRAIN_PARAMS, generate_indexed
 from gridmind.grid import GridSpec
 from gridmind.stats import sidecar_text
 
@@ -62,6 +62,33 @@ def test_lengths_count_chars_and_words():
     opening = record.conversation[:3]
     assert record.lengths["instruction_chars"] == sum(len(t.text) for t in opening)
     assert record.lengths["instruction_words"] == sum(len(t.text.split()) for t in opening)
+    # a thought before the plan, on a board with pits and walls
+    record = build_record(split_params("test", seed=3), "test", FWD_FULL_BT, 5)
+    thought, plan = render_parts(record.spec, FWD_FULL_BT)
+    assert record.conversation[3].text == join_reply(thought, plan)
+    assert record.spec.walls and record.spec.pits and thought
+    assert record.lengths["thought_chars"] == len(thought)
+    assert record.lengths["thought_words"] == len(thought.split())
+    assert record.lengths["plan_chars"] == len(plan)
+    assert record.lengths["plan_words"] == len(plan.split())
+    opening = record.conversation[:3]
+    assert record.lengths["instruction_chars"] == sum(len(t.text) for t in opening)
+    assert record.lengths["instruction_words"] == sum(len(t.text.split()) for t in opening)
+
+
+@settings(max_examples=300, deadline=None)
+@given(split=st.sampled_from(["train", "test"]), variant=st.sampled_from(ALL_VARIANTS),
+       strict=st.booleans(), index=st.integers(0, 10 ** 6))
+def test_word_counts_are_split_counts(split, variant, strict, index):
+    """Every text a record renders is counted as ``str.split()`` counts it."""
+    spec = generate_indexed(split_params(split, seed=17), index)
+    record = record_for(spec, index, split, variant, strict)
+    thought, plan = render_parts(spec, variant, strict)
+    assert record.conversation[3].text == join_reply(thought, plan)
+    assert record.lengths["instruction_words"] == sum(
+        len(t.text.split()) for t in record.conversation[:3])
+    assert record.lengths["thought_words"] == len(thought.split())
+    assert record.lengths["plan_words"] == len(plan.split())
 
 
 def test_same_index_same_environment_across_variants():
@@ -200,20 +227,23 @@ def test_verify_flags_a_coordinate_that_is_not_an_int(tmp_path, cell):
     ]
 
 
-def test_complexity_is_computed_once_per_generated_record(tmp_path, monkeypatch):
-    compute = GridSpec._complexity.func
+def test_verify_floods_each_board_once_and_generate_none(tmp_path, monkeypatch):
+    solve = GridSpec._solution.func
     calls = []
 
     def counted(spec):
         calls.append(spec)
-        return compute(spec)
+        return solve(spec)
 
     cached = cached_property(counted)
-    cached.__set_name__(GridSpec, "_complexity")
-    monkeypatch.setattr(GridSpec, "_complexity", cached)
-    # the complexity floor check and the record share one computation; no
-    # board of these 20 is redrawn, so every computation belongs to a record
+    cached.__set_name__(GridSpec, "_solution")
+    monkeypatch.setattr(GridSpec, "_solution", cached)
+    # tree growth hands its path over: the complexity floor and the record
+    # read it without a search
     generate_dataset(tmp_path, "test", FWD_FULL_BT, 20, seed=0)
+    assert calls == []
+    # one flood per decoded board gives the path, its uniqueness and its complexity
+    assert verify_dataset(tmp_path).ok
     assert len(calls) == 20
 
 

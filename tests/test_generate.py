@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from gridmind import GenParams, GenerationError, GridSpec, generate_environment, generate_indexed
 from gridmind.generate import TEST_PARAMS, TRAIN_PARAMS, Pcg64Stream, derive_seed
-from gridmind.grid import GLOBAL_MAX_COORD
+from gridmind.grid import GLOBAL_MAX_COORD, optimal_path
 from gridmind.stats import complexity
 
 from oracles import enumerate_simple_paths, independent_complexity, is_tree
@@ -206,4 +206,7 @@ def test_the_draw_replica_matches_numpy(seed, draws):
 def test_the_handed_over_board_is_the_decoded_one(params):
     for index in range(500):
         spec = generate_indexed(params, index)
-        assert spec.board == GridSpec.from_json_dict(spec.to_json_dict()).board
+        decoded = GridSpec.from_json_dict(spec.to_json_dict())
+        assert spec.board == decoded.board
+        assert optimal_path(spec) == optimal_path(decoded)
+        assert complexity(spec) == complexity(decoded)

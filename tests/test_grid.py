@@ -151,6 +151,29 @@ def test_count_simple_paths():
         walls=frozenset({(1, 0), (1, 1)}),
     )
     assert count_simple_paths(blocked) == 0
+    # a 2x2 loop on a stem off the corridor y = 0: still one path
+    loop_off_path = GridSpec(
+        min_x=0, min_y=0, size_x=5, size_y=4, start=(0, 0), goal=(4, 0),
+        walls=frozenset({(0, 1), (1, 1), (3, 1), (4, 1), (0, 2), (3, 2), (4, 2),
+                         (0, 3), (3, 3), (4, 3)}),
+    )
+    # a loop through the path's cells (1, 0) and (2, 0)
+    loop_on_path = GridSpec(
+        min_x=0, min_y=0, size_x=4, size_y=2, start=(0, 0), goal=(3, 0),
+        walls=frozenset({(0, 1), (3, 1)}),
+    )
+    # the start's corridor is a tree; the 2x2 room walled off beside it is not
+    tree_beside_loop = GridSpec(
+        min_x=0, min_y=0, size_x=5, size_y=3, start=(0, 0), goal=(2, 0),
+        walls=frozenset({(3, 0), (4, 0), (0, 1), (1, 1), (2, 1), (0, 2), (1, 2), (2, 2)}),
+    )
+    walled_in_goal = GridSpec(
+        min_x=0, min_y=0, size_x=3, size_y=3, start=(0, 0), goal=(2, 2),
+        walls=frozenset({(1, 2)}), pits=frozenset({(2, 1)}),
+    )
+    for spec, paths in ((loop_off_path, 1), (loop_on_path, 2), (tree_beside_loop, 1),
+                        (walled_in_goal, 0)):
+        assert count_simple_paths(spec) == min(len(enumerate_simple_paths(spec, cap=2)), 2) == paths
 
 
 def test_count_simple_paths_limit():
