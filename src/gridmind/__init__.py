@@ -25,9 +25,9 @@ from .grid import (
     Action,
     GridSpec,
     Position,
+    complexity,
     count_simple_paths,
     optimal_path,
-    path_states,
     valid_actions,
 )
 from .harness import (
@@ -55,6 +55,6 @@ from .prompts import (
     render_instruction,
     render_observation,
 )
-from .stats import StatsReport, complexity, export_heatmap
+from .stats import StatsReport, export_heatmap
 
 __version__ = "0.1.0"

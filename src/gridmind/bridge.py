@@ -51,7 +51,7 @@ def _parse_reply(raw: bytes) -> str:
     # decoded here: json.loads(bytes) would also accept UTF-16 and UTF-32
     try:
         obj = json.loads(raw.decode("utf-8"))
-    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError
+    except (ValueError, RecursionError) as exc:  # decode errors are ValueErrors
         raise AgentTransportError(f"malformed reply: {exc}") from exc
     if not isinstance(obj, dict) or not isinstance(obj.get("text"), str):
         raise AgentTransportError(f"reply lacks a text field: {raw!r}")

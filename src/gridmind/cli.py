@@ -13,7 +13,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .bridge import bridge_agent_factory
+from .bridge import DEFAULT_TIMEOUT, bridge_agent_factory
 from .cogmap import CotVariant, VARIANT_NAMES
 from .dataset import (
     SPLITS,
@@ -90,7 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--max-steps", type=int, default=DEFAULT_MAX_STEPS)
     ev.add_argument("--workers", type=int, default=1)
     ev.add_argument("--seed", type=int, default=None)
-    ev.add_argument("--timeout", type=float, default=30.0)
+    ev.add_argument("--timeout", type=float, default=DEFAULT_TIMEOUT)
     ev.add_argument("--report", default=None, help="write the full report JSON here")
     return parser
 

@@ -173,8 +173,6 @@ def serialize_plan(plan) -> str:
 def render_parts(spec: GridSpec, variant: CotVariant, strict: bool = False) -> tuple[str, str]:
     """(thought, plan) texts for an environment under one variant."""
     plan = serialize_plan(a for a, _ in optimal_path(spec))
-    if variant.verbosity is Verbosity.NONE:
-        return "", plan
     return build_search_trace(spec, variant, strict), plan
 
 

@@ -11,15 +11,16 @@ and every stats sidecar, and reports each violation with its file and line.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, replace
 from itertools import zip_longest
 from pathlib import Path
 
 from .cogmap import VARIANT_NAMES, CotVariant, join_reply, render_parts
 from .generate import GenParams, TEST_PARAMS, TRAIN_PARAMS, generate_indexed
-from .grid import GridSpec, count_simple_paths, optimal_path
+from .grid import GridSpec, complexity, count_simple_paths, optimal_path
 from .prompts import ACK_TEXT, GPT, RULES_TEXT, PromptText, render_instruction
-from .stats import METRICS, StatsReport, complexity, record_metrics, sidecar_text
+from .stats import METRICS, StatsReport, sidecar_text
 
 TRAIN = "train"
 TEST = "test"
@@ -28,6 +29,30 @@ SPLITS = (TRAIN, TEST)
 RECORD_KEYS = ("index", "split", "variant", "spec", "conversation", "complexity", "lengths")
 SPEC_KEYS = ("min_x", "min_y", "size_x", "size_y", "start", "goal", "walls", "pits", "seed")
 LENGTH_KEYS = METRICS[1:]
+
+
+def record_metrics(d: dict) -> tuple[int, int, tuple[float, ...]]:
+    """(size_x, size_y, metric row in METRICS order) of a decoded record line.
+
+    The sizes and lengths must be exactly ints and the complexity a finite
+    float; anything else raises ValueError. The record decoder relies on
+    this check too, so it is the one place that holds the rule.
+    """
+    try:
+        size_x, size_y = d["spec"]["size_x"], d["spec"]["size_y"]
+        comp, lengths = d["complexity"], d["lengths"]
+        if type(comp) is not float or not math.isfinite(comp):
+            raise TypeError(f"complexity {comp!r} is not a finite float")
+        row = [comp]
+        for metric in LENGTH_KEYS:
+            if type(n := lengths[metric]) is not int:
+                raise TypeError(f"lengths hold a value that is not an int: {metric}={n!r}")
+            row.append(float(n))
+        if type(size_x) is not int or type(size_y) is not int:
+            raise TypeError(f"size {size_x!r}x{size_y!r} is not a pair of ints")
+    except (KeyError, TypeError, OverflowError) as exc:
+        raise ValueError(f"record does not match the dataset schema: {exc}") from exc
+    return size_x, size_y, tuple(row)
 
 
 def split_params(split: str, seed: int, params: GenParams | None = None) -> GenParams:
@@ -62,6 +87,11 @@ class DatasetRecord:
 
     def to_json_line(self) -> str:
         return json.dumps(self.to_json_dict(), separators=(",", ":"))
+
+    def metrics(self) -> tuple[int, int, tuple[float, ...]]:
+        """``record_metrics`` of this record's line, read off the record."""
+        row = (self.complexity, *(float(self.lengths[k]) for k in LENGTH_KEYS))
+        return self.spec.size_x, self.spec.size_y, row
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "DatasetRecord":
@@ -182,7 +212,7 @@ def generate_dataset(
             for index in range(start, start + n):
                 record = build_record(params, split, variant, index, strict)
                 fh.write(record.to_json_line() + "\n")
-                report.add(*record_metrics(record))
+                report.add(*record.metrics())
         paths.append(path)
     sidecar = out / sidecar_name(split, variant.name)
     sidecar.write_text(sidecar_text(report))
@@ -212,7 +242,7 @@ def iter_json_lines(path: Path):
                 line = raw.decode()
                 if line.strip():
                     yield line_no, json.loads(line), None
-            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            except (ValueError, RecursionError) as exc:  # decode errors are ValueErrors
                 yield line_no, None, str(exc)
 
 
@@ -362,7 +392,7 @@ def verify_dataset(target: str | Path) -> VerifyReport:
                 seen[key] = f"{path}:{line_no}"
             stats = groups.get(sidecar_name(record.split, record.variant.name))
             if stats is not None:
-                stats.add(*record_metrics(record))
+                stats.add(*record.metrics())
     for sidecar in sidecars:
         violation = _sidecar_violation(sidecar, groups[sidecar.name])
         if violation is not None:

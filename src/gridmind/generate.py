@@ -29,9 +29,8 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .grid import (FREE, GLOBAL_MAX_COORD, PIT, WALL, GridSpec, board_index, neighbour_steps,
-                   ring_board)
-from .stats import complexity
+from .grid import (FREE, GLOBAL_MAX_COORD, PIT, WALL, GridSpec, board_index, complexity,
+                   neighbour_steps, ring_board)
 
 RETRY_BUDGET = 64
 

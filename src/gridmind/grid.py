@@ -1,4 +1,4 @@
-"""Core gridworld model: cells, actions, the board layout, and the solution path.
+"""Core gridworld model: cells, actions, the board layout, the solution path and its complexity.
 
 A grid is an axis-aligned rectangle of cells. Some cells are walls, some are
 pits, the rest are free. Moving into a wall or out of bounds leaves the agent
@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from itertools import chain
-import json
 import math
 
 Position = tuple[int, int]
@@ -43,10 +42,6 @@ class Action(Enum):
     @property
     def inverse(self) -> "Action":
         return _INVERSES[self]
-
-    def apply(self, pos: Position) -> Position:
-        dx, dy = _DELTAS[self]
-        return (pos[0] + dx, pos[1] + dy)
 
 
 ACTIONS: tuple[Action, ...] = (Action.UP, Action.DOWN, Action.LEFT, Action.RIGHT)
@@ -130,6 +125,11 @@ class GridSpec:
             return board_index(x, y, self.size_y)
         return 0
 
+    def position(self, c: int) -> Position:
+        """The (x, y) of board index ``c``."""
+        x, y = divmod(c, self.size_y + 2)
+        return (self.min_x + x - 1, self.min_y + y - 1)
+
     @cached_property
     def board(self) -> tuple[int, ...]:
         """The mark of each board index; an obstacle off the board marks nothing.
@@ -173,7 +173,7 @@ class GridSpec:
         the path, its complexity and whether the component is a tree, which
         it is exactly when no probe reaches an already reached cell other
         than the probing cell's BFS parent. Read it via ``optimal_path``,
-        ``count_simple_paths`` and ``stats.complexity``.
+        ``count_simple_paths`` and ``complexity``.
         """
         start, goal = self.cell(self.start), self.cell(self.goal)
         # FREE until reached, then the position in neighbour_steps of the
@@ -222,7 +222,7 @@ class GridSpec:
                           + (board[c - col] == FREE) + (board[c + col] == FREE)]
             x, y = divmod(n, col)
             path.append((action[n - c], (x + ox, y + oy)))
-        return tuple(path), total, tree
+        return tuple(path), total, tree, cells
 
     def free_cells(self) -> list[Position]:
         """All free cells in lexicographic order."""
@@ -286,9 +286,6 @@ class GridSpec:
             "seed": self.seed,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), separators=(",", ":"))
-
     @classmethod
     def from_json_dict(cls, d: dict) -> "GridSpec":
         """A cell that is not an (x, y) pair raises ValueError as it is unpacked."""
@@ -307,8 +304,9 @@ class GridSpec:
 
 
 Trajectory = list[tuple[Action, Position]]
-# a spec's trajectory, its complexity, and whether the start's component is a tree
-Solution = tuple[tuple[tuple[Action, Position], ...], float, bool]
+# a spec's trajectory, its complexity, whether the start's component is a
+# tree, and the board indices of the path, start first
+Solution = tuple[tuple[tuple[Action, Position], ...], float, bool, list[int]]
 
 
 _NOT_STANDABLE = {OFF: "out of bounds", WALL: "a wall", PIT: "a pit"}
@@ -343,9 +341,18 @@ def optimal_path(spec: GridSpec) -> Trajectory:
     return list(solution[0])
 
 
-def path_states(spec: GridSpec, path: Trajectory) -> list[Position]:
-    """Start state followed by every state the trajectory enters."""
-    return [spec.start] + [state for _, state in path]
+def complexity(spec: GridSpec) -> float:
+    """How much choice the solution path offers: the sum over its states, goal
+    excluded, of the natural log of the number of valid moves.
+
+    A corridor contributes nothing; every binary fork adds ln 2 (about 0.69).
+    Added up with the solution and kept on the spec beside it. Raises
+    ValueError when the goal is unreachable.
+    """
+    solution = spec._solution
+    if solution is None:
+        raise ValueError("goal is unreachable from start")
+    return solution[1]
 
 
 def count_simple_paths(spec: GridSpec) -> int:
@@ -365,10 +372,9 @@ def count_simple_paths(spec: GridSpec) -> int:
     solution = spec._solution
     if solution is None:
         return 0
-    path, _, tree = solution
+    _, _, tree, roots = solution
     if tree:
         return 1
-    roots = list(map(spec.cell, path_states(spec, path)))
     mark = list(spec.board)
     for i, root in enumerate(roots):
         mark[root] = i

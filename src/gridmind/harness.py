@@ -143,25 +143,16 @@ class PlansAgent(Agent):
     parsed move per turn in reachable mode (empty reply once exhausted)."""
 
     def __init__(self, text: str, mode: str):
-        self._text = text
-        self._mode = mode
-        self._queue: list[str] | None
+        # the replies left, last first: the text, or in reachable mode its plan's moves
+        self._replies = [text]
         if mode == REACHABLE:
             try:
-                _, actions = parse_plan(text)
-                self._queue = [a.value for a in actions]
+                self._replies = [a.value for a in reversed(parse_plan(text)[1])]
             except PlanParseError:
-                self._queue = None
-        else:
-            self._queue = []
+                pass
 
     def respond(self, transcript: list[PromptText]) -> str:
-        if self._mode == OPTIMAL:
-            return self._text
-        if self._queue is None:
-            self._queue = []
-            return self._text
-        return self._queue.pop(0) if self._queue else ""
+        return self._replies.pop() if self._replies else ""
 
 
 def _ask(agent: Agent, transcript: list[PromptText]) -> str:
@@ -176,7 +167,7 @@ def _play_reachable(spec: GridSpec, agent: Agent, max_steps: int) -> EpisodeResu
     """The reachable protocol on board indices: a move is one board read."""
     transcript = render_instruction(spec)
     optimal_len = len(optimal_path(spec))  # raises unless start and goal are free cells
-    board, column = spec.board, spec.size_y + 2
+    board = spec.board
     c, goal = spec.cell(spec.start), spec.cell(spec.goal)
     offsets = dict(zip(ACTION_BY_WORD, neighbour_steps(spec.size_y)))
     observations: dict[int, str] = {}
@@ -207,9 +198,7 @@ def _play_reachable(spec: GridSpec, agent: Agent, max_steps: int) -> EpisodeResu
             break
         text = observations.get(c)
         if text is None:
-            x, y = divmod(c, column)
-            pos = (spec.min_x + x - 1, spec.min_y + y - 1)
-            text = observations[c] = render_observation(spec, pos)
+            text = observations[c] = render_observation(spec, spec.position(c))
         transcript.append(PromptText(HUMAN, text))
         reply = move = _ask(agent, list(transcript))
     return EpisodeResult(outcome, steps, optimal_len, transcript)

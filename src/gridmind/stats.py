@@ -1,9 +1,6 @@
-"""Path complexity, dataset aggregates, the stats sidecar, and heatmaps.
+"""Dataset aggregates, the stats sidecar, and heatmaps.
 
-Complexity measures how much choice the solution path offers: the sum over
-its states (goal excluded) of the natural log of the number of valid moves.
-A corridor contributes nothing; every binary fork adds ln 2 (about 0.69).
-
+Each record gives one row of METRICS, its complexity then its lengths.
 Aggregates are grouped per (size_x, size_y) cell, and each cell is one flat
 list ``[count, totals, minima, maxima]`` whose three lists follow METRICS
 order. Counts, minima and maxima merge exactly in any order, but a float
@@ -25,7 +22,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .grid import GridSpec
+from .generate import TEST_PARAMS, TRAIN_PARAMS
 
 METRICS = (
     "complexity",
@@ -37,18 +34,6 @@ METRICS = (
     "plan_words",
 )
 _SLOTS = range(len(METRICS))
-
-
-def complexity(spec: GridSpec) -> float:
-    """Sum of ln(number of valid moves) over solution states, goal excluded.
-
-    Added up with the solution and kept on the spec beside it. Raises
-    ValueError when the goal is unreachable.
-    """
-    solution = spec._solution
-    if solution is None:
-        raise ValueError("goal is unreachable from start")
-    return solution[1]
 
 
 def _empty_cell() -> list:
@@ -154,39 +139,8 @@ def sidecar_text(stats: StatsReport) -> str:
             f'\n  "cells": {{{cells}\n  }}\n}}\n')
 
 
-def record_metrics(record) -> tuple[int, int, tuple[float, ...]]:
-    """Extract (size_x, size_y, metric row in METRICS order) from a record object or dict.
-
-    The sizes and lengths must be exactly ints and the complexity a finite
-    float; anything else raises ValueError. The record decoder relies on
-    this check too, so it is the one place that holds the rule.
-    """
-    try:
-        if isinstance(record, dict):
-            spec = record["spec"]
-            size_x, size_y = spec["size_x"], spec["size_y"]
-            comp = record["complexity"]
-            lengths = record["lengths"]
-        else:
-            size_x, size_y = record.spec.size_x, record.spec.size_y
-            comp = record.complexity
-            lengths = record.lengths
-        if type(comp) is not float or not math.isfinite(comp):
-            raise TypeError(f"complexity {comp!r} is not a finite float")
-        row = [comp]
-        for metric in METRICS[1:]:
-            if type(n := lengths[metric]) is not int:
-                raise TypeError(f"lengths hold a value that is not an int: {metric}={n!r}")
-            row.append(float(n))
-        if type(size_x) is not int or type(size_y) is not int:
-            raise TypeError(f"size {size_x!r}x{size_y!r} is not a pair of ints")
-    except (KeyError, AttributeError, TypeError, OverflowError) as exc:
-        raise ValueError(f"record does not match the dataset schema: {exc}") from exc
-    return size_x, size_y, tuple(row)
-
-
-TRAIN_SIZE_RANGE = (2, 10)
-HEATMAP_SIZE_RANGE = (2, 20)
+TRAIN_SIZE_RANGE = (TRAIN_PARAMS.size_min, TRAIN_PARAMS.size_max)
+HEATMAP_SIZE_RANGE = (TEST_PARAMS.size_min, TEST_PARAMS.size_max)
 
 
 def export_heatmap(

@@ -8,6 +8,7 @@ helpers), so agreement between the two is meaningful.
 from __future__ import annotations
 
 import heapq
+import json
 import math
 import re
 from dataclasses import dataclass, field
@@ -98,6 +99,22 @@ def independent_complexity(spec) -> float:
         dx, dy = DELTAS[word]
         pos = (pos[0] + dx, pos[1] + dy)
     return total
+
+
+def moved(pos, action) -> tuple:
+    """The cell one step of ``action`` (an Action) away from ``pos``."""
+    dx, dy = DELTAS[action.value]
+    return (pos[0] + dx, pos[1] + dy)
+
+
+def spec_line(spec) -> str:
+    """A spec's canonical JSON line, compact and without its newline."""
+    return json.dumps(spec.to_json_dict(), separators=(",", ":"))
+
+
+def path_states(spec, path) -> list[tuple]:
+    """The start followed by every state the (action, state) trajectory enters."""
+    return [spec.start] + [state for _, state in path]
 
 
 def standable_cells(spec) -> list[tuple]:

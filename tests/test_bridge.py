@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import os
 import resource
+import shlex
 import socket
 import sys
 import threading
@@ -233,6 +234,40 @@ def test_stdio_non_utf8_reply_is_malformed_at_once(ref_env):
         agent.respond(render_instruction(ref_env))
     agent.close("aborted")
     _assert_closed_clean(agent)
+
+
+# answers session ep-0 with a reply nested deeper than json.loads can
+# recurse, well under the reply cap, and every other one with the reference plan
+DEEP_AGENT = r"""
+import json, sys
+plan = ["right", "right", "up", "right", "up"]
+for line in sys.stdin:
+    obj = json.loads(line)
+    if obj.get("type") == "end":
+        break
+    if obj["session"] == "ep-0":
+        sys.stdout.write('{"text": ' + "[" * 200000 + "\n")
+    else:
+        moves = sum(1 for m in obj["messages"] if m["role"] == "gpt") - 1
+        sys.stdout.write(json.dumps({"text": plan[moves]}) + "\n")
+    sys.stdout.flush()
+"""
+
+
+def test_stdio_reply_nested_too_deep_aborts_its_episode_only(ref_env, tmp_path):
+    script = tmp_path / "deep.py"
+    script.write_text(DEEP_AGENT)
+    make = bridge_agent_factory(f"stdio:{shlex.join([sys.executable, str(script)])}", 5.0)
+    agents = []
+
+    def factory(spec, index, episode_seed):
+        agents.append(make(spec, index, episode_seed))
+        return agents[-1]
+
+    report = evaluate_batch([ref_env, ref_env], factory, REACHABLE)
+    assert [e.outcome for e in report.episodes] == [None, "success"]
+    for agent in agents:
+        _assert_closed_clean(agent)
 
 
 def test_stdio_endless_line_aborts_in_bounded_memory(ref_env):

@@ -430,6 +430,24 @@ def test_cli_runs_as_a_module(tmp_path):
     assert (tmp_path / "train-bwd-none-0000-of-0001.jsonl").exists()
 
 
+def test_verify_exits_without_a_traceback_past_the_decoders_limits(tmp_path, capsys):
+    import subprocess
+    import sys
+
+    run_cli(gen_args(tmp_path, count=2, variant="bwd-none"), capsys)
+    shard = tmp_path / "train-bwd-none-0000-of-0001.jsonl"
+    lines = shard.read_text().splitlines()
+    shard.write_text("\n".join([lines[0], "[" * 200_000, "1" * 5000, lines[1]]) + "\n")
+    result = subprocess.run([sys.executable, "-m", "gridmind.cli", "verify", str(shard)],
+                            capture_output=True, text=True)
+    assert result.returncode == 1
+    assert "Traceback" not in result.stderr
+    printed = result.stdout.splitlines()
+    assert [line.split(": ")[:2] for line in printed[:2]] == [
+        [f"{shard}:2", "bad JSON"], [f"{shard}:3", "bad JSON"]]
+    assert printed[2:] == ["checked 4 records: 2 violation(s)"]
+
+
 @pytest.mark.parametrize("command", ["generate", "eval"])
 def test_a_negative_seed_exits_with_the_reason(tmp_path, capsys, command):
     """A seed split into 32-bit words must refuse a negative int, not loop."""

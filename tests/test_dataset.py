@@ -31,7 +31,10 @@ from gridmind.dataset import (
 )
 from gridmind.generate import TRAIN_PARAMS, generate_indexed
 from gridmind.grid import GridSpec
+from gridmind.harness import load_plans
 from gridmind.stats import sidecar_text
+
+from oracles import spec_line
 
 FWD_FULL_BT = CotVariant.from_name("fwd-full-bt")
 BWD_NONE = CotVariant.from_name("bwd-none")
@@ -316,6 +319,36 @@ def test_verify_flags_a_line_that_is_not_utf8_and_goes_on(tmp_path):
     assert "can't decode byte 0xff" in report.violations[0].message
 
 
+# lines json.loads refuses for its own limits: nesting depth (RecursionError)
+# and the digits of an int (a ValueError that is no JSONDecodeError)
+DECODER_LIMITS = {"deep": "[" * 200_000, "long_int": "1" * 5000}
+
+
+def test_verify_flags_lines_past_the_decoders_limits_and_goes_on(tmp_path):
+    line = build_record(split_params("train", seed=2), "train", BWD_NONE, 0).to_json_line()
+    path = tmp_path / "data.jsonl"
+    lines = [line, DECODER_LIMITS["deep"], line, DECODER_LIMITS["long_int"], line]
+    path.write_text("\n".join(lines) + "\n")
+    report = verify_dataset(path)
+    assert report.records == 5
+    assert [v.line for v in report.violations] == [2, 3, 4, 5]
+    assert [v.message.startswith("bad JSON: ") for v in report.violations] == [
+        True, False, True, False]
+    # the line after each one is still checked: it repeats the first record
+    assert all(v.message.startswith("duplicate record") for v in report.violations[1::2])
+
+
+@pytest.mark.parametrize("probe", sorted(DECODER_LIMITS))
+def test_loaders_name_a_line_past_the_decoders_limits(tmp_path, probe):
+    record = build_record(split_params("train", seed=2), "train", BWD_NONE, 0).to_json_line()
+    path = tmp_path / "data.jsonl"
+    for load, first in ((stats_from_files, record), (load_specs, record),
+                        (load_plans, '{"text": "up"}')):
+        path.write_text(first + "\n" + DECODER_LIMITS[probe] + "\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:2: "):
+            load(path)
+
+
 def test_loaders_name_the_line_that_is_not_utf8(tmp_path):
     shard = generate_dataset(tmp_path, "train", BWD_NONE, 2, seed=4)[0]
     lines = shard.read_bytes().splitlines()
@@ -343,7 +376,7 @@ def test_load_records_and_specs(tmp_path):
 
     bare = tmp_path / "bare" / "specs.jsonl"
     bare.parent.mkdir()
-    bare.write_text("\n".join(r.spec.to_json() for r in records) + "\n")
+    bare.write_text("\n".join(spec_line(r.spec) for r in records) + "\n")
     assert load_specs(bare) == specs
 
     with pytest.raises(ValueError):
@@ -361,8 +394,8 @@ def test_load_specs_names_the_line_of_a_bad_spec(tmp_path):
     batch.parent.mkdir()
     for bad, needle in ((sealed, "unreachable"),
                         (replace(sealed, walls=frozenset({(0, 0)})), "obstacle")):
-        lines = [r.spec.to_json() for r in records]
-        lines[1] = bad.to_json()
+        lines = [spec_line(r.spec) for r in records]
+        lines[1] = spec_line(bad)
         batch.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match=f"^{re.escape(str(batch))}:2: .*{needle}"):
             load_specs(batch)

@@ -9,10 +9,9 @@ from hypothesis import given, settings, strategies as st
 
 from gridmind import GenParams, GenerationError, GridSpec, generate_environment, generate_indexed
 from gridmind.generate import TEST_PARAMS, TRAIN_PARAMS, Pcg64Stream, derive_seed
-from gridmind.grid import GLOBAL_MAX_COORD, optimal_path
-from gridmind.stats import complexity
+from gridmind.grid import GLOBAL_MAX_COORD, complexity, optimal_path
 
-from oracles import enumerate_simple_paths, independent_complexity, is_tree
+from oracles import enumerate_simple_paths, independent_complexity, is_tree, path_states, spec_line
 
 
 def test_derive_seed_stable_and_distinct():
@@ -89,8 +88,6 @@ def test_offsets_cover_the_global_board():
 
 
 def test_pits_sit_beside_the_solution_path():
-    from gridmind import optimal_path, path_states
-
     saw_pits = False
     for index in range(200):
         spec = generate_indexed(TEST_PARAMS, index)
@@ -146,7 +143,7 @@ def test_distinct_indices_give_distinct_environments():
     assert len(set(specs)) > 35
 
 
-# SHA-256 over generate_indexed(params, i).to_json() + "\n" for i in range(200)
+# SHA-256 over spec_line(generate_indexed(params, i)) + "\n" for i in range(200)
 # at seed 0. Any change to the generator's draw order or output moves these.
 _GENERATOR_DIGESTS = {
     "test": (TEST_PARAMS, "d88e3be8a20c58c936eb3b01e968eb5430f12fe8e446a50dd6f95dae09ef6c2a"),
@@ -160,7 +157,7 @@ def test_generator_bytes_are_pinned(split):
     assert params.seed == 0
     digest = hashlib.sha256()
     for index in range(200):
-        digest.update(generate_indexed(params, index).to_json().encode() + b"\n")
+        digest.update(spec_line(generate_indexed(params, index)).encode() + b"\n")
     assert digest.hexdigest() == expected
 
 

@@ -1,13 +1,16 @@
 from __future__ import annotations
 
+import ast
 import json
 import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import gridmind
 from gridmind import (
     ACTIONS,
     Action,
@@ -15,7 +18,6 @@ from gridmind import (
     Outcome,
     count_simple_paths,
     optimal_path,
-    path_states,
     run_episode,
     valid_actions,
 )
@@ -29,7 +31,10 @@ from oracles import (
     MoveKind,
     enumerate_simple_paths,
     move_kind,
+    moved,
+    path_states,
     shortest_path_length,
+    spec_line,
     standable_cells,
 )
 
@@ -52,17 +57,18 @@ def expected_move(kind, pos, action):
         return "deadend", None
     if kind is MoveKind.REACHED_GOAL:
         return "success", None
-    return "playing", action.apply(pos) if kind is MoveKind.MOVED else pos
+    return "playing", moved(pos, action) if kind is MoveKind.MOVED else pos
 
 
 def test_action_order_and_deltas():
     assert [a.value for a in ACTIONS] == ["up", "down", "left", "right"]
-    assert Action.UP.apply((2, 5)) == (2, 6)
-    assert Action.DOWN.apply((2, 5)) == (2, 4)
-    assert Action.LEFT.apply((2, 5)) == (1, 5)
-    assert Action.RIGHT.apply((2, 5)) == (3, 5)
+    assert moved((2, 5), Action.UP) == (2, 6)
+    assert moved((2, 5), Action.DOWN) == (2, 4)
+    assert moved((2, 5), Action.LEFT) == (1, 5)
+    assert moved((2, 5), Action.RIGHT) == (3, 5)
     for a in ACTIONS:
-        assert a.inverse.apply(a.apply((0, 0))) == (0, 0)
+        assert a.delta == moved((0, 0), a)
+        assert moved(moved((0, 0), a), a.inverse) == (0, 0)
 
 
 @pytest.mark.parametrize(
@@ -80,7 +86,7 @@ def test_transition_cases(ref_env, pos, action, kind, dest):
     assert move_kind(ref_env, pos, action.value) is kind
     assert one_move(ref_env, pos, action) == expected_move(kind, pos, action)
     if dest is not None:
-        assert action.apply(pos) == dest
+        assert moved(pos, action) == dest
 
 
 def test_transition_rejects_bad_positions(ref_env):
@@ -259,10 +265,10 @@ def test_count_simple_paths_ignores_obstacles_off_the_board():
 
 
 def test_spec_json_round_trip(ref_env):
-    text = ref_env.to_json()
+    text = spec_line(ref_env)
     again = GridSpec.from_json_dict(json.loads(text))
     assert again == ref_env
-    assert again.to_json() == text
+    assert spec_line(again) == text
     d = json.loads(text)
     assert list(d) == [
         "min_x", "min_y", "size_x", "size_y", "start", "goal", "walls", "pits", "seed",
@@ -327,7 +333,7 @@ def test_transition_partition_on_random_envs():
             allowed = dict(valid_actions(spec, pos))
             for action in ACTIONS:
                 outcome, cell = one_move(spec, pos, action)
-                dest = action.apply(pos)
+                dest = moved(pos, action)
                 if outcome == "deadend":
                     assert dest in spec.pits
                 elif outcome == "success":
@@ -337,3 +343,25 @@ def test_transition_partition_on_random_envs():
                     assert action not in allowed
                 else:
                     assert cell == dest and dest in free and action in allowed
+
+
+def test_the_solution_is_read_in_grid_alone():
+    """No module but grid reads a private GridSpec member, and the stats
+    module neither imports from grid nor forks on a record's type."""
+    trees = {path.name: ast.parse(path.read_text())
+             for path in Path(gridmind.__file__).parent.glob("*.py")}
+    spec_class = next(node for node in ast.walk(trees["grid.py"])
+                      if isinstance(node, ast.ClassDef) and node.name == "GridSpec")
+    private = {node.name for node in spec_class.body if isinstance(node, ast.FunctionDef)
+               and node.name.startswith("_") and not node.name.endswith("__")}
+    assert {"_solution", "_along"} <= private
+    for name, tree in trees.items():
+        if name != "grid.py":
+            read = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+            assert not read & private, name
+    stats = list(ast.walk(trees["stats.py"]))
+    imported = {node.module for node in stats if isinstance(node, ast.ImportFrom)}
+    imported |= {alias.name for node in stats if isinstance(node, (ast.Import, ast.ImportFrom))
+                 for alias in node.names}
+    assert not imported & {"grid", "gridmind.grid"}
+    assert "isinstance" not in {node.id for node in stats if isinstance(node, ast.Name)}

@@ -8,10 +8,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gridmind import GridSpec, StatsReport, complexity, export_heatmap, grid
-from gridmind.dataset import build_record
+from gridmind.dataset import build_record, record_metrics
 from gridmind.cogmap import CotVariant
 from gridmind.generate import TEST_PARAMS, TRAIN_PARAMS, generate_indexed
-from gridmind.stats import METRICS, record_metrics, sidecar_text
+from gridmind.stats import METRICS, sidecar_text
 
 from conftest import translate
 from oracles import ReferenceStats, independent_complexity
@@ -149,7 +149,7 @@ def test_report_json_round_trip():
     for index in range(10):
         spec = generate_indexed(TRAIN_PARAMS, index)
         record = build_record(TRAIN_PARAMS, "train", CotVariant.from_name("fwd-full-bt"), index)
-        report.add(*record_metrics(record))
+        report.add(*record.metrics())
         assert record.spec == spec
     d = report.to_json_dict()
     assert json.loads(sidecar_text(report)) == d
@@ -159,9 +159,11 @@ def test_report_json_round_trip():
     assert set(d["overall"]) == set(METRICS)
 
 
-def test_record_metrics_accepts_dicts_and_objects():
+def test_record_metrics_of_the_line_match_the_built_record():
+    test_record = build_record(TEST_PARAMS, "test", CotVariant.from_name("bwd-full-marked-bt"), 5)
+    assert test_record.metrics() == record_metrics(test_record.to_json_dict())
     record = build_record(TRAIN_PARAMS, "train", CotVariant.from_name("bwd-none"), 3)
-    from_obj = record_metrics(record)
+    from_obj = record.metrics()
     from_dict = record_metrics(record.to_json_dict())
     assert from_obj == from_dict
     size_x, size_y, row = from_obj
@@ -183,7 +185,7 @@ def test_dataset_stats_and_heatmap_export(tmp_path):
     ]
     report = StatsReport()
     for record in records:
-        report.add(*record_metrics(record))
+        report.add(*record.metrics())
     assert report.to_json_dict()["count"] == 30
 
     files = export_heatmap(report, "complexity", tmp_path)
