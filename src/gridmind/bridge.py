@@ -175,19 +175,14 @@ class HttpBridgeAgent(Agent):
                 last_error = exc
         raise AgentTransportError(f"agent unreachable: {last_error}") from last_error
 
-    def close(self, outcome: str) -> None:
-        from http.client import HTTPException
-
-        try:
-            self._post({"type": "end", "session": self._session, "outcome": outcome},
-                       time.monotonic() + 2 * self._timeout)
-        except (HTTPException, OSError, AgentTransportError):
-            pass
+    def close(self, outcome: str) -> None:  # run_episode swallows a failed close
+        self._post({"type": "end", "session": self._session, "outcome": outcome},
+                   time.monotonic() + 2 * self._timeout)
 
 
 def bridge_agent_factory(endpoint: str, timeout: float = DEFAULT_TIMEOUT):
     """Factory (spec, index, episode_seed) -> Agent for ``http(s)://...`` or ``stdio:<cmd>``."""
-    # the same bound as a thread's lock wait, for the two timeouts of a turn
+    # a turn's two timeouts together stay in the range socket.settimeout accepts
     limit = threading.TIMEOUT_MAX / 2
     if not 0 < timeout <= limit:
         raise ValueError(f"timeout must be a positive number of seconds up to {limit:.0f}, "

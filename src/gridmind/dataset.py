@@ -57,9 +57,9 @@ def record_metrics(d: dict) -> tuple[int, int, tuple[float, ...]]:
 
 def split_params(split: str, seed: int, params: GenParams | None = None) -> GenParams:
     """Generation parameters for a split, rooted at ``seed``."""
+    if split not in SPLITS:
+        raise ValueError(f"unknown split {split!r}; expected one of {SPLITS}")
     if params is None:
-        if split not in SPLITS:
-            raise ValueError(f"unknown split {split!r}; expected one of {SPLITS}")
         params = TRAIN_PARAMS if split == TRAIN else TEST_PARAMS
     return replace(params, seed=seed)
 
@@ -105,6 +105,8 @@ class DatasetRecord:
                 raise ValueError(f"unknown split {d['split']!r}")
             if type(d["index"]) is not int:
                 raise ValueError(f"index {d['index']!r} is not an int")
+            for m in d["conversation"]:
+                _check_keys("turn", m, ("role", "text"))
             conversation = [PromptText(m["role"], m["text"]) for m in d["conversation"]]
             if [t.role for t in conversation] != ["human", "gpt", "human", "gpt"]:
                 raise ValueError("conversation must be human/gpt/human/gpt")
@@ -325,6 +327,10 @@ def _check_record(obj, flag) -> DatasetRecord | None:
     if paths != 1:
         flag(f"expected exactly 1 simple path, found {'2 or more' if paths > 1 else 0}")
         return record
+    for kind, cells in (("walls", record.spec.walls), ("pits", record.spec.pits)):
+        listed = obj["spec"][kind]  # to_json_dict's form: sorted, each cell once
+        if listed != sorted(listed) or len(listed) != len(cells):
+            flag(f"spec {kind} are not sorted and distinct")
     expected = record_for(record.spec, record.index, record.split, record.variant)
     if record.conversation[3].text != expected.conversation[3].text:
         expected = record_for(record.spec, record.index, record.split, record.variant, strict=True)
@@ -335,7 +341,7 @@ def _check_record(obj, flag) -> DatasetRecord | None:
             return record
     if record.lengths != expected.lengths:
         flag(f"lengths {record.lengths} != {expected.lengths}")
-    if not abs(record.complexity - expected.complexity) <= 1e-9:
+    if record.complexity != expected.complexity:
         flag(f"complexity {record.complexity} != recomputed {expected.complexity}")
     return expected
 

@@ -232,9 +232,10 @@ class GridSpec:
     def validate(self) -> None:
         """Raise ValueError on any structural violation.
 
-        Every number must be exactly an int: not a float, not a bool. The
-        types and the extremes of all coordinates are each checked in one
-        C-speed pass; the loops after a failed pass only name the offender.
+        Every number must be exactly an int: not a float, not a bool, and the
+        seed is None or an int >= 0. The types and the extremes of all
+        coordinates are each checked in one C-speed pass; the loops after a
+        failed pass only name the offender.
         """
         xs, ys = zip(self.start, self.goal, *self.walls, *self.pits)
         scalars = {"min_x": self.min_x, "min_y": self.min_y,
@@ -248,6 +249,8 @@ class GridSpec:
             for name, cell in cells:
                 if set(map(type, cell)) != {int}:
                     raise ValueError(f"{name} {cell} has a coordinate that is not an int")
+        if self.seed is not None and (type(self.seed) is not int or self.seed < 0):
+            raise ValueError(f"seed {self.seed!r} is not None or an int >= 0")
         if self.size_x < 2 or self.size_y < 2:
             raise ValueError(f"sizes must be at least 2, got {self.size_x}x{self.size_y}")
         if min(self.min_x, self.min_y) < 0 or max(self.max_x, self.max_y) > GLOBAL_MAX_COORD:

@@ -10,11 +10,10 @@ keep the agent in place, cost a step, and repeat the same observation. The
 loop walks the spec's board by index, and renders each cell's observation
 once per episode.
 
-Both protocols run through ``run_episode``: it alone asks the agent (a
-transport failure becomes ``EpisodeAborted``) and it alone closes the agent,
-exactly once per episode, with the outcome or "aborted". Aborted episodes
-are reported apart from the outcome counts so flaky plumbing cannot
-masquerade as behavior.
+Both protocols run through ``run_episode``: it alone asks the agent and it
+alone closes the agent, exactly once per episode, with the outcome or
+"aborted". Aborted episodes are reported apart from the outcome counts so
+flaky plumbing cannot masquerade as behavior.
 """
 
 from __future__ import annotations
@@ -52,12 +51,12 @@ class Outcome(Enum):
     INVALID = "invalid"
 
 
-class AgentTransportError(Exception):
-    """The agent endpoint failed to produce a reply."""
-
-
 class EpisodeAborted(Exception):
     """Episode could not be scored because transport to the agent broke."""
+
+
+class AgentTransportError(EpisodeAborted):
+    """The agent endpoint failed to produce a reply."""
 
 
 @dataclass
@@ -76,22 +75,6 @@ class Agent:
 
     def close(self, outcome: str) -> None:
         """Notification that the episode ended; best effort."""
-
-
-class OracleAgent(Agent):
-    """Replays the unique shortest path."""
-
-    def __init__(self, spec: GridSpec, mode: str):
-        self._plan = [a for a, _ in optimal_path(spec)]
-        self._mode = mode
-        self._next = 0
-
-    def respond(self, transcript: list[PromptText]) -> str:
-        if self._mode == OPTIMAL:
-            return serialize_plan(self._plan)
-        action = self._plan[self._next]
-        self._next += 1
-        return action.value
 
 
 class RandomValidAgent(Agent):
@@ -155,29 +138,26 @@ class PlansAgent(Agent):
         return self._replies.pop() if self._replies else ""
 
 
-def _ask(agent: Agent, transcript: list[PromptText]) -> str:
-    """The agent's reply; a transport failure aborts the episode."""
-    try:
-        return agent.respond(transcript)
-    except AgentTransportError as exc:
-        raise EpisodeAborted(str(exc)) from exc
+class OracleAgent(PlansAgent):
+    """Replays the unique shortest path."""
+
+    def __init__(self, spec: GridSpec, mode: str):
+        super().__init__(serialize_plan([a for a, _ in optimal_path(spec)]), mode)
 
 
-def _play_reachable(spec: GridSpec, agent: Agent, max_steps: int) -> EpisodeResult:
-    """The reachable protocol on board indices: a move is one board read."""
-    transcript = render_instruction(spec)
-    optimal_len = len(optimal_path(spec))  # raises unless start and goal are free cells
+def _play_reachable(spec: GridSpec, agent: Agent, transcript: list[PromptText],
+                    optimal_len: int, max_steps: int) -> EpisodeResult:
+    """The reachable protocol on board indices, from the first reply that ends
+    ``transcript``: a move is one board read."""
     board = spec.board
     c, goal = spec.cell(spec.start), spec.cell(spec.goal)
     offsets = dict(zip(ACTION_BY_WORD, neighbour_steps(spec.size_y)))
     observations: dict[int, str] = {}
     steps = 0
-    reply = _ask(agent, list(transcript))
     # the first reply may carry thought text: its last non-empty line is the move
-    lines = [line for line in reply.split("\n") if line.strip()]
+    lines = [line for line in transcript[-1].text.split("\n") if line.strip()]
     move = lines[-1] if lines else ""
     while True:
-        transcript.append(PromptText(GPT, reply))
         offset = offsets.get(move.strip())  # parse_action's vocabulary
         if offset is None:
             outcome = Outcome.INVALID
@@ -200,7 +180,8 @@ def _play_reachable(spec: GridSpec, agent: Agent, max_steps: int) -> EpisodeResu
         if text is None:
             text = observations[c] = render_observation(spec, spec.position(c))
         transcript.append(PromptText(HUMAN, text))
-        reply = move = _ask(agent, list(transcript))
+        move = agent.respond(list(transcript))
+        transcript.append(PromptText(GPT, move))
     return EpisodeResult(outcome, steps, optimal_len, transcript)
 
 
@@ -217,19 +198,18 @@ def run_episode(
         raise ValueError(f"need a mode in {MODES} and max_steps >= 1, got {mode!r}, {max_steps}")
     outcome = "aborted"
     try:
+        transcript = render_instruction(spec)  # raises unless the start is a free cell
+        path = optimal_path(spec)  # raises before the agent is asked when the goal is unreachable
+        transcript.append(PromptText(GPT, agent.respond(list(transcript))))
         if mode == OPTIMAL:
-            transcript = render_instruction(spec)
-            reply = _ask(agent, list(transcript))
-            transcript.append(PromptText(GPT, reply))
-            plan = [a for a, _ in optimal_path(spec)]
             try:
-                _, actions = parse_plan(reply)
+                _, actions = parse_plan(transcript[-1].text)
             except PlanParseError:
                 actions = []  # scored as a fail of 0 steps: a plan is never empty
-            scored = Outcome.SUCCESS if actions == plan else Outcome.FAIL
-            result = EpisodeResult(scored, len(actions), len(plan), transcript)
+            scored = Outcome.SUCCESS if actions == [a for a, _ in path] else Outcome.FAIL
+            result = EpisodeResult(scored, len(actions), len(path), transcript)
         else:
-            result = _play_reachable(spec, agent, max_steps)
+            result = _play_reachable(spec, agent, transcript, len(path), max_steps)
         outcome = result.outcome.value
         return result
     finally:

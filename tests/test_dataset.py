@@ -145,6 +145,12 @@ def test_generate_dataset_checks_params_before_writing(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+def test_generate_dataset_checks_the_split_even_with_params(tmp_path):
+    with pytest.raises(ValueError, match="unknown split 'bogus'"):
+        generate_dataset(tmp_path / "out", "bogus", BWD_NONE, 2, seed=1, params=TRAIN_PARAMS)
+    assert not (tmp_path / "out").exists()
+
+
 def test_an_empty_dataset_verifies(tmp_path):
     paths = generate_dataset(tmp_path, "train", FWD_FULL_BT, 0, seed=2, shards=2)
     assert [p.read_text() for p in paths[:-1]] == ["", ""]
@@ -192,6 +198,25 @@ def _one_record_file(tmp_path, mutate):
         (lambda o: o.update(variant="diagonal-bt"), "unknown variant"),
         (lambda o: o.update(split="validation"), "unknown split"),
         (lambda o: o["spec"].update(walls=[list(o["spec"]["start"])]), "bad environment"),
+        # the spec's canonical form: obstacle lists sorted, each cell once
+        pytest.param(lambda o: o["spec"]["walls"].reverse(),
+                     "spec walls are not sorted and distinct", id="reversed walls"),
+        pytest.param(lambda o: o["spec"]["walls"].insert(0, o["spec"]["walls"][0]),
+                     "spec walls are not sorted and distinct", id="a wall twice"),
+        pytest.param(lambda o: o["spec"]["pits"].reverse(),
+                     "spec pits are not sorted and distinct", id="reversed pits"),
+        pytest.param(lambda o: o["spec"]["pits"].append(o["spec"]["pits"][-1]),
+                     "spec pits are not sorted and distinct", id="a pit twice"),
+        pytest.param(lambda o: o["spec"].update(seed="abc"),
+                     "seed 'abc' is not None or an int >= 0", id="a string seed"),
+        pytest.param(lambda o: o["spec"].update(seed=1.5),
+                     "seed 1.5 is not None or an int >= 0", id="a float seed"),
+        pytest.param(lambda o: o["spec"].update(seed=-3),
+                     "seed -3 is not None or an int >= 0", id="a negative seed"),
+        pytest.param(lambda o: o.update(complexity=o["complexity"] + 1e-12),
+                     "complexity", id="complexity off by 1e-12"),
+        pytest.param(lambda o: o["conversation"][1].update(extra=1),
+                     "turn keys ['role', 'text', 'extra']", id="an extra turn key"),
     ],
 )
 def test_verify_flags_corruption(tmp_path, mutate, needle):

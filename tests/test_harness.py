@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import json
 import re
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -420,6 +421,15 @@ def test_run_episode_rejects_unknown_mode(ref_env):
     assert agent.asked == 0 and agent.closes == []
     with pytest.raises(ValueError):
         evaluate_batch([ref_env], scripted_agent_factory("oracle", REACHABLE), "teleport")
+
+
+@pytest.mark.parametrize("mode", [OPTIMAL, REACHABLE])
+def test_an_unreachable_goal_raises_before_the_agent_is_asked(ref_env, mode):
+    sealed = replace(ref_env, walls=ref_env.walls | {(3, 1)})  # the goal's one open side
+    agent = Recorder(ConstantAgent("up"))
+    with pytest.raises(ValueError, match="unreachable"):
+        run_episode(sealed, agent, mode)
+    assert agent.asked == 0 and agent.closes == ["aborted"]
 
 
 @pytest.mark.parametrize("mode", [OPTIMAL, REACHABLE])
