@@ -29,14 +29,11 @@ import threading
 import time
 from contextlib import suppress
 
+from .dataset import MAX_LINE_BYTES as MAX_REPLY_BYTES  # the most agent output held before a reply
 from .harness import Agent, AgentTransportError
 from .prompts import PromptText
 
 DEFAULT_TIMEOUT = 30.0
-
-# the most agent output held before a reply: the longest target reply,
-# JSON-encoded, is ~15 KB, and a fully probed 20x20 board stays under 64 KiB
-MAX_REPLY_BYTES = 1 << 20
 
 
 def _encode(obj: dict) -> bytes:

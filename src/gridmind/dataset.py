@@ -235,11 +235,23 @@ def dataset_files(target: str | Path) -> list[Path]:
     return [p]
 
 
+# the most bytes of a JSON line, newline left out, in a file or an agent's
+# reply: 50x the longest record line seen (19.3 KB over 3000 test boards)
+MAX_LINE_BYTES = 1 << 20
+
+
 def iter_json_lines(path: Path):
     """Yield (line_no, parsed object or None, error or None) per line, each
-    line decoded from UTF-8 on its own."""
+    line decoded from UTF-8 on its own. A line over ``MAX_LINE_BYTES`` is an
+    error, and its rest is skipped in chunks, so memory stays bounded."""
     with open(path, "rb") as fh:
-        for line_no, raw in enumerate(fh, start=1):
+        lines = iter(lambda: fh.readline(MAX_LINE_BYTES + 1), b"")
+        for line_no, raw in enumerate(lines, start=1):
+            if len(raw) > MAX_LINE_BYTES and not raw.endswith(b"\n"):
+                while (rest := fh.readline(MAX_LINE_BYTES)) and not rest.endswith(b"\n"):
+                    pass
+                yield line_no, None, f"line over the {MAX_LINE_BYTES}-byte cap"
+                continue
             try:
                 line = raw.decode()
                 if line.strip():

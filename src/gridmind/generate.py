@@ -13,13 +13,16 @@ is built once with that path as its solution, which the complexity floor
 reads without a search.
 
 All randomness flows through ``Pcg64Stream``, a pure-Python stream that is
-bit-exact with numpy's ``Generator(PCG64(seed))``: record streams are seeded
-as ``SeedSequence`` spawn keys would seed them, so record i is a pure
-function of (seed, i) and shards can be produced concurrently. The scalar
-bounded draws (size, offset, every growth step, the start and goal) are
-``Generator.integers(n)`` and the pit draws ``Generator.random()``. The
-output therefore depends on no installed numpy; property tests against
-numpy and the pinned generator bytes guard the stream.
+bit-exact with numpy's ``Generator(PCG64(seed))``. Its seeding is numpy's
+``SeedSequence``: entropy words are hashed and mixed into a pool of four
+32-bit words under one running constant, and the pool is hashed out into
+state under another. Record streams are seeded as ``SeedSequence`` spawn keys
+would seed them, so record i is a pure function of (seed, i) and shards can
+be produced concurrently. The scalar bounded draws (size, offset, every
+growth step, the start and goal) are ``Generator.integers(n)`` and the pit
+draws ``Generator.random()``. The output therefore depends on no installed
+numpy; property tests against numpy and the pinned generator bytes guard the
+stream.
 """
 
 from __future__ import annotations
@@ -71,35 +74,10 @@ _M64 = (1 << 64) - 1
 _M128 = (1 << 128) - 1
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
-# SeedSequence: a pool of 4 32-bit words, two kinds of hash call, and a mix
-# of two words; the multipliers are numpy's
-_POOL = 4
-_MULT_A = 0x931E8875  # hashing entropy into the pool
-_MULT_B = 0x58F38DED  # hashing the pool out into state
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-
-
-def _hash_steps(const: int, mult: int, count: int) -> list[tuple[int, int]]:
-    """The first ``count`` calls of one kind of hash, as ``(xor, multiplier)``.
-
-    A hash xors in the kind's running constant, steps the constant and
-    multiplies by it, so the constants do not depend on the data.
-    """
-    steps = []
-    for _ in range(count):
-        stepped = const * mult & _M32
-        steps.append((const, stepped))
-        const = stepped
-    return steps
-
-
-_HASH_A = _hash_steps(0x43B0D7E5, _MULT_A, 16)
-_FILL = _HASH_A[:_POOL]  # one call per pool word, hashing an entropy word or 0
-# then each pool word is hashed into every other one, sources in order
-_CROSS = [(src, dst, *step) for (src, dst), step in zip(
-    [(s, d) for s in range(_POOL) for d in range(_POOL) if s != d], _HASH_A[_POOL:])]
-_ABSORB_FROM = _HASH_A[-1][1]  # the constant the next entropy hash xors in
-_OUT = _hash_steps(0x8B51F9DD, _MULT_B, 8)  # up to 4 64-bit words of state
+# numpy's SeedSequence constants
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875  # hashing entropy into the pool
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED  # hashing the pool out into state
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715  # mixing two pool words
 
 
 def _words(n: int) -> list[int]:
@@ -112,51 +90,47 @@ def _words(n: int) -> list[int]:
     return words
 
 
-def _absorb(pool: list[int], words: list[int], const: int, width: int = _POOL) -> int:
-    """Hash each of ``words`` into the first ``width`` pool words, from the
-    running hash constant ``const``; returns the constant after. The constant
-    steps once per pool word, hashed or not, and each pool word is hashed from
-    itself alone, so the first ``width`` end as a full absorb leaves them."""
-    for word in words:
-        for d in range(width):
-            v = word ^ const
-            const = const * _MULT_A & _M32
-            v = v * const & _M32
-            x = (_MIX_L * pool[d] - _MIX_R * (v ^ v >> 16)) & _M32
-            pool[d] = x ^ x >> 16
-        for _ in range(width, _POOL):
-            const = const * _MULT_A & _M32
+def _hashmix(pool: list[int], dst: int, word: int, const: int) -> int:
+    """``pool[dst] = mix(pool[dst], hashmix(word))`` as numpy writes it, from
+    the running hash constant ``const``; returns the stepped constant."""
+    v = (word ^ const) * (const := const * _MULT_A & _M32) & _M32
+    x = (_MIX_L * pool[dst] - _MIX_R * (v ^ v >> 16)) & _M32
+    pool[dst] = x ^ x >> 16
     return const
 
 
-def _mix(words: list[int]) -> tuple[list[int], int]:
+def _pool(words: list[int]) -> tuple[list[int], int]:
     """numpy's ``SeedSequence`` pool after the entropy ``words``, and the
-    running hash constant. The first words fill the pool, zeros padding it,
-    the pool words are hashed into each other, and every later word is
-    absorbed."""
-    pool = []
-    for (const, mult), word in zip(_FILL, words[:_POOL] + [0] * (_POOL - len(words))):
-        v = (word ^ const) * mult & _M32
+    running hash constant. The first four words fill the pool, zeros padding
+    it, each pool word is mixed into every other one, and every later word is
+    mixed into all four."""
+    pool, const = [], _INIT_A
+    for word in (words + [0] * 4)[:4]:
+        v = (word ^ const) * (const := const * _MULT_A & _M32) & _M32
         pool.append(v ^ v >> 16)
-    for src, dst, const, mult in _CROSS:
-        v = (pool[src] ^ const) * mult & _M32
-        x = (_MIX_L * pool[dst] - _MIX_R * (v ^ v >> 16)) & _M32
-        pool[dst] = x ^ x >> 16
-    return pool, _absorb(pool, words[_POOL:], _ABSORB_FROM)
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                const = _hashmix(pool, dst, pool[src], const)
+    for word in words[4:]:
+        for dst in range(4):
+            const = _hashmix(pool, dst, word, const)
+    return pool, const
 
 
 def _state(pool: list[int], count: int) -> list[int]:
-    """``SeedSequence.generate_state(count, numpy.uint64)``, ``count <= 4``."""
-    halves = []
-    for i, (const, mult) in enumerate(_OUT[:2 * count]):
-        v = (pool[i % _POOL] ^ const) * mult & _M32
+    """``SeedSequence.generate_state(count, numpy.uint64)``, ``count <= 4``:
+    pool words hashed out in turn, two 32-bit halves per word, low first."""
+    halves, const = [], _INIT_B
+    for i in range(2 * count):
+        v = (pool[i % 4] ^ const) * (const := const * _MULT_B & _M32) & _M32
         halves.append(v ^ v >> 16)
     return [halves[i] | halves[i + 1] << 32 for i in range(0, 2 * count, 2)]
 
 
 @lru_cache(maxsize=64)
 def _root_pool(root: int) -> tuple[tuple[int, ...], int]:
-    pool, const = _mix(_words(root))
+    pool, const = _pool(_words(root))
     return tuple(pool), const
 
 
@@ -165,12 +139,16 @@ def derive_seed(root_seed: int, index: int) -> int:
     ``SeedSequence(root_seed, spawn_key=(index,)).generate_state(1, uint64)``.
 
     A spawn key pads the root's words to the pool with zeros and follows
-    them, so the root's mixing is shared by all its indices and cached. The
-    seed reads pool words 0 and 1 only, so the index is hashed into those.
+    them, so the root's pool is shared by all its indices and cached. The
+    seed reads pool words 0 and 1 only, so the index is mixed into those, and
+    the constant steps past words 2 and 3 as if they were mixed too.
     """
     pool, const = _root_pool(root_seed)
     pool = list(pool)
-    _absorb(pool, _words(index), const, 2)
+    for word in _words(index):
+        const = _hashmix(pool, 0, word, const)
+        const = _hashmix(pool, 1, word, const)
+        const = const * _MULT_A * _MULT_A & _M32
     return _state(pool, 1)[0]
 
 
@@ -187,7 +165,7 @@ class Pcg64Stream:
     __slots__ = ("_state", "_inc", "_half")
 
     def __init__(self, seed: int):
-        s0, s1, s2, s3 = _state(_mix(_words(seed))[0], 4)
+        s0, s1, s2, s3 = _state(_pool(_words(seed))[0], 4)
         # PCG64's seeding: from state 0 step once, add the initial state and
         # step again; the increment is odd
         self._inc = ((s2 << 64 | s3) << 1 | 1) & _M128

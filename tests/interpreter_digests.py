@@ -1,8 +1,9 @@
 """Print, as one JSON object, the SHA-256 of everything gridmind writes for a
 fixed set of inputs: a small dataset (two shards and its stats sidecar), the
-spec lines ``test_generator_bytes_are_pinned`` hashes, and what ``verify``
-reports on the dataset. Standard library only, so any CPython >= 3.10 can run
-it without pytest::
+spec lines ``test_generator_bytes_are_pinned`` hashes, what ``verify``
+reports on the dataset, and the seeding at roots and indices of one to five
+32-bit words. Standard library only, so any CPython >= 3.10 can run it
+without pytest::
 
     python -I -B tests/interpreter_digests.py <src dir> <empty output dir>
 """
@@ -16,7 +17,8 @@ sys.path.insert(0, sys.argv[1])
 
 from gridmind.cogmap import CotVariant  # noqa: E402
 from gridmind.dataset import generate_dataset, verify_dataset  # noqa: E402
-from gridmind.generate import TEST_PARAMS, TRAIN_PARAMS, generate_indexed  # noqa: E402
+from gridmind.generate import (TEST_PARAMS, TRAIN_PARAMS, Pcg64Stream, derive_seed,  # noqa: E402
+                               generate_indexed)
 
 out = Path(sys.argv[2])
 digests = {}
@@ -29,6 +31,15 @@ for split, params in (("train", TRAIN_PARAMS), ("test", TEST_PARAMS)):
         spec = generate_indexed(params, index).to_json_dict()
         digest.update(json.dumps(spec, separators=(",", ":")).encode() + b"\n")
     digests[f"{split} specs"] = digest.hexdigest()
+# seeds of one to five words, where zero padding stops and absorption starts:
+# the dataset above seeds with one or two, and numpy, the stream's oracle,
+# need not import here
+edges = (0, 2 ** 32 - 1, 2 ** 32, 2 ** 96, 2 ** 128 - 1, 2 ** 128)
+seeding = [derive_seed(root, index) for root in edges for index in edges]
+for seed in edges:
+    stream = Pcg64Stream(seed)
+    seeding += [stream._raw(), stream._raw()]
+digests["seeding"] = hashlib.sha256(json.dumps(seeding).encode()).hexdigest()
 violations = verify_dataset(out).violations
 digests["verify"] = [f"{Path(v.file).name}:{v.line}: {v.message}" for v in violations]
 print(json.dumps(digests, sort_keys=True))

@@ -15,6 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 from gridmind.cogmap import ALL_VARIANTS, CotVariant, join_reply, render_parts
 from gridmind.dataset import (
     LENGTH_KEYS,
+    MAX_LINE_BYTES,
     RECORD_KEYS,
     SPEC_KEYS,
     DatasetRecord,
@@ -374,6 +375,30 @@ def test_loaders_name_a_line_past_the_decoders_limits(tmp_path, probe):
             load(path)
 
 
+@pytest.mark.parametrize("size", [MAX_LINE_BYTES, MAX_LINE_BYTES + 1, 2 << 20])
+def test_verify_flags_a_line_over_the_cap_and_goes_on(tmp_path, size):
+    line = build_record(split_params("train", seed=2), "train", BWD_NONE, 0).to_json_line()
+    long = '"' + "x" * (size - 2) + '"'
+    path = tmp_path / "data.jsonl"
+    path.write_text(long + "\n" + line + "\n" + line + "\n" + long)  # the last with no newline
+    report = verify_dataset(path)
+    assert report.records == 4
+    assert [v.line for v in report.violations] == [1, 3, 4]
+    over = f"bad JSON: line over the {MAX_LINE_BYTES}-byte cap"
+    assert [v.message == over for v in report.violations[::2]] == [size > MAX_LINE_BYTES] * 2
+    # line 2 was read whole and checked: line 3 repeats it
+    assert report.violations[1].message.endswith(f"(also in {path}:2)")
+
+
+def test_loaders_name_a_line_over_the_cap(tmp_path):
+    record = build_record(split_params("train", seed=2), "train", BWD_NONE, 0).to_json_line()
+    path = tmp_path / "data.jsonl"
+    path.write_text('"' + "x" * (2 << 20) + '"\n' + record + "\n")
+    for load in (stats_from_files, load_specs, load_records, load_plans):
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:1: line over the "):
+            load(path)
+
+
 def test_loaders_name_the_line_that_is_not_utf8(tmp_path):
     shard = generate_dataset(tmp_path, "train", BWD_NONE, 2, seed=4)[0]
     lines = shard.read_bytes().splitlines()
@@ -481,6 +506,64 @@ def test_any_json_value_in_any_field_is_reported_not_raised(key_path, value):
                 load(path)
             except ValueError as exc:
                 assert str(exc).startswith(f"{path}:1: "), exc
+
+
+# good record lines with distinct indices, one of which a mutation replaces
+_GOOD_LINES = [build_record(split_params("train", seed=2), "train", FWD_FULL_BT, i).to_json_line()
+               for i in (3, 4, 5)]
+
+
+@st.composite
+def _mutated_lines(draw):
+    """(the lines of a file, the 1-based number of its mutated line, and
+    whether the mutation must be flagged: stray bytes may land where JSON
+    allows them)."""
+    lines = [line.encode() for line in _GOOD_LINES]
+    bad = draw(st.integers(0, len(lines) - 1))
+    line = lines[bad]
+    values = [m.end() for m in re.finditer(rb'":', line)]  # where a value starts
+    numbers = [m.span() for m in re.finditer(rb"(?<=[:,\[])-?[0-9][0-9.e+-]*", line)]
+    texts = [m.end() for m in re.finditer(rb'"text":"', line)]
+    kind = draw(st.sampled_from(["nest", "number", "string", "truncate", "stray"]))
+    if kind == "nest":
+        at = draw(st.sampled_from(values))
+        line = line[:at] + b"[" * draw(st.integers(1000, 200_000)) + line[at:]
+    elif kind == "number":
+        start, end = draw(st.sampled_from(numbers))
+        digits = b"9" * draw(st.integers(5000, 20_000))
+        value = draw(st.sampled_from([digits, b"-" + digits, b"NaN", b"Infinity", b"-Infinity"]))
+        line = line[:start] + value + line[end:]
+    elif kind == "string":
+        at = draw(st.sampled_from(texts))
+        line = line[:at] + b"x" * draw(st.integers(1000, 2 * MAX_LINE_BYTES)) + line[at:]
+    elif kind == "truncate":
+        line = line[:draw(st.integers(1, len(line) - 1))]
+    else:
+        at = draw(st.integers(0, len(line)))
+        stray = draw(st.binary(min_size=1, max_size=8).filter(lambda b: b"\n" not in b))
+        line = line[:at] + stray + line[at:]
+    lines[bad] = line
+    return lines, bad + 1, kind != "stray"
+
+
+@settings(max_examples=150, deadline=None)
+@given(_mutated_lines())
+def test_a_mutated_record_line_is_flagged_at_its_own_line(mutated):
+    lines, bad, flagged = mutated
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "data.jsonl"
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        report = verify_dataset(path)
+        assert report.records == len(lines)
+        assert all(v.line == bad for v in report.violations), report.violations
+        assert report.violations or not flagged
+        # a plans file wants a "text" key, which no record line has
+        for load, line in ((load_records, bad), (load_specs, bad), (stats_from_files, bad),
+                           (load_plans, 1)):
+            try:
+                load(path)
+            except ValueError as exc:
+                assert str(exc).startswith(f"{path}:{line}: "), exc
 
 
 def test_stats_sidecar_matches_the_shards(tmp_path):

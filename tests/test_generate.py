@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gridmind import GenParams, GenerationError, GridSpec, generate_environment, generate_indexed
 from gridmind.generate import TEST_PARAMS, TRAIN_PARAMS, Pcg64Stream, derive_seed
@@ -163,10 +163,11 @@ def test_generator_bytes_are_pinned(split):
 
 # numpy is the oracle for the stream: SeedSequence mixing, PCG64's raw words,
 # Generator.integers and Generator.random, and how the last two interleave.
-# Roots above 2**128 have more words than the pool holds; indices of 2**32
-# and above are more than one word.
+# Roots of 3 and 4 words are where zero padding stops, those of 2**128 and
+# above have more words than the pool holds; indices of 2**32 and above are
+# more than one word.
 _BIG = st.one_of(st.integers(0, 2 ** 32 - 1), st.integers(2 ** 32, 2 ** 64),
-                 st.integers(2 ** 128, 2 ** 300))
+                 st.integers(2 ** 64 + 1, 2 ** 128 - 1), st.integers(2 ** 128, 2 ** 300))
 # small bounds as growth draws them, powers of two, and bounds above 2**31,
 # where Lemire's method rejects up to half the 32-bit halves
 _BOUNDS = st.one_of(st.integers(1, 500), st.sampled_from([2 ** k for k in range(33)]),
@@ -176,6 +177,12 @@ _SEEDS = st.one_of(st.integers(0, 2 ** 64 - 1), st.integers(2 ** 64, 2 ** 200))
 
 @settings(max_examples=300, deadline=None)
 @given(root=_BIG, index=_BIG)
+@example(root=0, index=0)
+@example(root=2 ** 32 - 1, index=2 ** 32 - 1)
+@example(root=2 ** 32, index=2 ** 32)
+@example(root=2 ** 96, index=2 ** 96)
+@example(root=2 ** 128 - 1, index=2 ** 128 - 1)
+@example(root=2 ** 128, index=2 ** 128)
 def test_derive_seed_matches_numpy(root, index):
     expected = np.random.SeedSequence(root, spawn_key=(index,)).generate_state(1, np.uint64)
     assert derive_seed(root, index) == int(expected[0])
@@ -183,6 +190,12 @@ def test_derive_seed_matches_numpy(root, index):
 
 @settings(max_examples=200, deadline=None)
 @given(seed=_SEEDS, count=st.integers(1, 40))
+@example(seed=0, count=2)
+@example(seed=2 ** 32 - 1, count=2)
+@example(seed=2 ** 32, count=2)
+@example(seed=2 ** 96, count=2)
+@example(seed=2 ** 128 - 1, count=2)
+@example(seed=2 ** 128, count=2)
 def test_raw_words_match_numpy(seed, count):
     ours = Pcg64Stream(seed)
     assert [ours._raw() for _ in range(count)] == \
