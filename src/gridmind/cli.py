@@ -138,7 +138,8 @@ def cmd_stats(args) -> int:
     if out:  # an unusable directory fails before the dataset is read
         out.mkdir(parents=True, exist_ok=True)
     report = stats_from_files(args.target)
-    summary = report.to_json_dict()
+    text = sidecar_text(report)
+    summary = json.loads(text)
     print(f"records: {summary['count']}")
     for metric in METRICS:
         agg = summary["overall"][metric]
@@ -149,7 +150,7 @@ def cmd_stats(args) -> int:
             )
     if out:
         stats_path = out / "stats.json"
-        stats_path.write_text(sidecar_text(report))
+        stats_path.write_text(text)
         print(stats_path)
         for metric in args.heatmap or []:
             for path in export_heatmap(report, metric, out):

@@ -124,6 +124,8 @@ class DatasetRecord:
 
 
 def _check_keys(name: str, obj: dict, keys: tuple[str, ...]) -> None:
+    if type(obj) is not dict:
+        raise ValueError(f"{name} is not a JSON object")
     if tuple(obj.keys()) != keys:
         raise ValueError(f"{name} keys {list(obj.keys())} != {list(keys)}")
 
@@ -242,8 +244,9 @@ MAX_LINE_BYTES = 1 << 20
 
 def iter_json_lines(path: Path):
     """Yield (line_no, parsed object or None, error or None) per line, each
-    line decoded from UTF-8 on its own. A line over ``MAX_LINE_BYTES`` is an
-    error, and its rest is skipped in chunks, so memory stays bounded."""
+    line decoded from UTF-8 on its own. A line that is not a JSON object is an
+    error. So is a line over ``MAX_LINE_BYTES``, and its rest is skipped in
+    chunks, so memory stays bounded."""
     with open(path, "rb") as fh:
         lines = iter(lambda: fh.readline(MAX_LINE_BYTES + 1), b"")
         for line_no, raw in enumerate(lines, start=1):
@@ -255,7 +258,10 @@ def iter_json_lines(path: Path):
             try:
                 line = raw.decode()
                 if line.strip():
-                    yield line_no, json.loads(line), None
+                    obj = json.loads(line)
+                    if type(obj) is not dict:
+                        raise ValueError("not a JSON object")
+                    yield line_no, obj, None
             except (ValueError, RecursionError) as exc:  # decode errors are ValueErrors
                 yield line_no, None, str(exc)
 

@@ -63,6 +63,8 @@ class GenParams:
             raise ValueError(f"wall_density must be in [0,1), got {self.wall_density}")
         if not 0.0 <= self.pit_density <= 1.0:
             raise ValueError(f"pit_density must be in [0,1], got {self.pit_density}")
+        if type(self.seed) is not int or self.seed < 0:
+            raise ValueError(f"seed {self.seed!r}: expected non-negative integer")
 
 
 TRAIN_PARAMS = GenParams(size_min=2, size_max=10)

@@ -52,20 +52,6 @@ def _fold(cell: list, count: int, totals, minima, maxima) -> None:
             cell_maxima[i] = maxima[i]
 
 
-def _metric_dicts(cell: list) -> dict:
-    count, totals, minima, maxima = cell
-    return {
-        metric: {
-            "count": count,
-            "mean": total / count if count else None,
-            "min": vmin if count else None,
-            "max": vmax if count else None,
-            "total": total,
-        }
-        for metric, total, vmin, vmax in zip(METRICS, totals, minima, maxima)
-    }
-
-
 @dataclass
 class StatsReport:
     """Per-size-cell aggregates: ``cells[(size_x, size_y)] = [count, totals, minima, maxima]``."""
@@ -82,27 +68,14 @@ class StatsReport:
         return self
 
     def to_json_dict(self) -> dict:
-        overall = _overall(self)
-        return {
-            "count": overall[0],
-            "overall": _metric_dicts(overall),
-            "cells": {f"{x}x{y}": _metric_dicts(c) for (x, y), c in sorted(self.cells.items())},
-        }
-
-
-def _overall(stats: StatsReport) -> list:
-    """All cells of ``stats`` folded into one, in insertion order."""
-    overall = _empty_cell()
-    for cell in stats.cells.values():
-        _fold(overall, *cell)
-    return overall
+        return json.loads(sidecar_text(self))
 
 
 def _cell_template(pad: str) -> str:
-    """The sidecar text of one cell's ``_metric_dicts`` at indentation
-    ``pad``, with a ``%r`` for each number."""
+    """The sidecar text of one cell at indentation ``pad``, with a ``%s``
+    for each number: count, mean, min, max and total per metric."""
     inner, leaf = pad + "  ", pad + "    "
-    numbers = ("," + leaf).join(f'"{k}": %r' for k in ("count", "mean", "min", "max", "total"))
+    numbers = ("," + leaf).join(f'"{k}": %s' for k in ("count", "mean", "min", "max", "total"))
     metrics = (f'"{metric}": {{{leaf}{numbers}{inner}}}' for metric in METRICS)
     return "{" + inner + ("," + inner).join(metrics) + pad + "}"
 
@@ -113,6 +86,8 @@ _CELL_TEMPLATE = _cell_template("\n    ")
 
 def _cell_text(template: str, cell: list) -> str:
     count, totals, minima, maxima = cell
+    if not count:  # the overall cell of an empty report has no mean or extremes
+        return template % tuple(v for total in totals for v in (0, "null", "null", "null", total))
     numbers = []
     for total, vmin, vmax in zip(totals, minima, maxima):
         numbers += (count, total / count, vmin, vmax, total)
@@ -122,21 +97,23 @@ def _cell_text(template: str, cell: list) -> str:
 def sidecar_text(stats: StatsReport) -> str:
     """The stats sidecar ``generate`` writes and ``verify`` expects, byte for byte.
 
-    These are the bytes of ``json.dumps(stats.to_json_dict(), indent=2) + "\\n"``.
-    Each cell is formatted from one template, ``repr`` spelling each finite
+    These are the bytes json writes with ``indent=2`` and a closing newline
+    for ``{"count", "overall", "cells"}``, where each cell holds the count,
+    mean, min, max and total of every metric, and a count of 0 has ``null``
+    for its mean and extremes; ``tests/oracles.ReferenceStats`` checks them.
+    Each cell is formatted from one template, ``str`` spelling each finite
     number as json does, in under half the time of json's pure-Python
-    indenting encoder; ``verify`` renders one per sidecar it checks. A
-    report with no records writes ``null`` for its means and extremes, so
-    json writes it.
+    indenting encoder; ``verify`` renders one per sidecar it checks.
     """
-    overall = _overall(stats)
-    if not overall[0]:
-        return json.dumps(stats.to_json_dict(), indent=2) + "\n"
+    overall = _empty_cell()  # all cells folded into one, in insertion order
+    for cell in stats.cells.values():
+        _fold(overall, *cell)
     cells = ",".join(f'\n    "{x}x{y}": {_cell_text(_CELL_TEMPLATE, cell)}'
                      for (x, y), cell in sorted(stats.cells.items()))
-    return (f'{{\n  "count": {overall[0]!r},'
+    cells = f"{{{cells}\n  }}" if cells else "{}"  # json writes an empty object on one line
+    return (f'{{\n  "count": {overall[0]},'
             f'\n  "overall": {_cell_text(_OVERALL_TEMPLATE, overall)},'
-            f'\n  "cells": {{{cells}\n  }}\n}}\n')
+            f'\n  "cells": {cells}\n}}\n')
 
 
 TRAIN_SIZE_RANGE = (TRAIN_PARAMS.size_min, TRAIN_PARAMS.size_max)

@@ -1,9 +1,9 @@
 """Print, as one JSON object, the SHA-256 of everything gridmind writes for a
 fixed set of inputs: a small dataset (two shards and its stats sidecar), the
 spec lines ``test_generator_bytes_are_pinned`` hashes, what ``verify``
-reports on the dataset, and the seeding at roots and indices of one to five
-32-bit words. Standard library only, so any CPython >= 3.10 can run it
-without pytest::
+reports on the dataset, the seeding at roots and indices of one to five
+32-bit words, and the stats sidecar of a report with no records. Standard
+library only, so any CPython >= 3.10 can run it without pytest::
 
     python -I -B tests/interpreter_digests.py <src dir> <empty output dir>
 """
@@ -19,6 +19,7 @@ from gridmind.cogmap import CotVariant  # noqa: E402
 from gridmind.dataset import generate_dataset, verify_dataset  # noqa: E402
 from gridmind.generate import (TEST_PARAMS, TRAIN_PARAMS, Pcg64Stream, derive_seed,  # noqa: E402
                                generate_indexed)
+from gridmind.stats import StatsReport, sidecar_text  # noqa: E402
 
 out = Path(sys.argv[2])
 digests = {}
@@ -40,6 +41,8 @@ for seed in edges:
     stream = Pcg64Stream(seed)
     seeding += [stream._raw(), stream._raw()]
 digests["seeding"] = hashlib.sha256(json.dumps(seeding).encode()).hexdigest()
+# the empty report's sidecar: json's nulls and empty object, spelt by the template
+digests["empty sidecar"] = hashlib.sha256(sidecar_text(StatsReport()).encode()).hexdigest()
 violations = verify_dataset(out).violations
 digests["verify"] = [f"{Path(v.file).name}:{v.line}: {v.message}" for v in violations]
 print(json.dumps(digests, sort_keys=True))

@@ -47,6 +47,12 @@ def test_generate_with_bad_sizes_writes_nothing(tmp_path, capsys):
     assert not (tmp_path / "data").exists()
 
 
+def test_generate_with_a_negative_seed_writes_nothing(tmp_path, capsys):
+    with pytest.raises(SystemExit, match="seed -1: expected non-negative integer"):
+        run_cli(gen_args(tmp_path / "data", seed="-1"), capsys)
+    assert not (tmp_path / "data").exists()
+
+
 def test_verify_reports_corruption(tmp_path, capsys):
     run_cli(gen_args(tmp_path, count=2, variant="bwd-none"), capsys)
     shard = tmp_path / "train-bwd-none-0000-of-0001.jsonl"

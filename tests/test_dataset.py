@@ -218,6 +218,12 @@ def _one_record_file(tmp_path, mutate):
                      "complexity", id="complexity off by 1e-12"),
         pytest.param(lambda o: o["conversation"][1].update(extra=1),
                      "turn keys ['role', 'text', 'extra']", id="an extra turn key"),
+        pytest.param(lambda o: o.update(spec="abc"), "spec is not a JSON object",
+                     id="a string spec"),
+        pytest.param(lambda o: o.update(lengths=[1]), "lengths is not a JSON object",
+                     id="a list of lengths"),
+        pytest.param(lambda o: o["conversation"].__setitem__(2, "up"),
+                     "turn is not a JSON object", id="a string turn"),
     ],
 )
 def test_verify_flags_corruption(tmp_path, mutate, needle):
@@ -396,6 +402,33 @@ def test_loaders_name_a_line_over_the_cap(tmp_path):
     path.write_text('"' + "x" * (2 << 20) + '"\n' + record + "\n")
     for load in (stats_from_files, load_specs, load_records, load_plans):
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:1: line over the "):
+            load(path)
+
+
+# JSON values that decode but are not objects
+NOT_OBJECTS = ('"abc"', "[1, 2]", "3")
+
+
+def test_verify_flags_a_line_that_is_not_an_object_and_goes_on(tmp_path):
+    record = build_record(split_params("train", seed=2), "train", BWD_NONE, 0).to_json_line()
+    path = tmp_path / "data.jsonl"
+    path.write_text("\n".join(NOT_OBJECTS + (record, record)) + "\n")
+    report = verify_dataset(path)
+    assert report.records == 5
+    assert [str(v) for v in report.violations[:3]] == [
+        f"{path}:{line}: bad JSON: not a JSON object" for line in (1, 2, 3)]
+    # line 4 was decoded and checked: line 5 repeats it
+    [duplicate] = report.violations[3:]
+    assert (duplicate.line, duplicate.message.endswith(f"(also in {path}:4)")) == (5, True)
+
+
+@pytest.mark.parametrize("line", NOT_OBJECTS + ("[1]",))
+def test_loaders_name_a_line_that_is_not_an_object(tmp_path, line):
+    record = build_record(split_params("train", seed=2), "train", BWD_NONE, 0).to_json_line()
+    path = tmp_path / "data.jsonl"
+    path.write_text(line + "\n" + record + "\n")
+    for load in (stats_from_files, load_specs, load_records, load_plans):
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:1: not a JSON object$"):
             load(path)
 
 

@@ -140,7 +140,10 @@ def test_flat_aggregate_matches_the_reference(rows, cut, one_cell):
         rows = [((5, 6), row) for _, row in rows]
     flat, reference = _both(rows)
     assert sidecar_text(flat) == _reference_text(reference)
+    assert flat.to_json_dict() == reference.to_json_dict()
     (flat_head, ref_head), (flat_tail, ref_tail) = _both(rows[:cut]), _both(rows[cut:])
+    assert flat_head.to_json_dict() == ref_head.to_json_dict()  # empty when cut is 0
+    assert flat_tail.to_json_dict() == ref_tail.to_json_dict()
     assert sidecar_text(flat_head.merge(flat_tail)) == _reference_text(ref_head.merge(ref_tail))
 
 
