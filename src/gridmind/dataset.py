@@ -14,6 +14,7 @@ import json
 import math
 from dataclasses import dataclass, field, replace
 from itertools import zip_longest
+from json.encoder import encode_basestring_ascii as _string
 from pathlib import Path
 
 from .cogmap import VARIANT_NAMES, CotVariant, join_reply, render_parts
@@ -29,6 +30,16 @@ SPLITS = (TRAIN, TEST)
 RECORD_KEYS = ("index", "split", "variant", "spec", "conversation", "complexity", "lengths")
 SPEC_KEYS = ("min_x", "min_y", "size_x", "size_y", "start", "goal", "walls", "pits", "seed")
 LENGTH_KEYS = METRICS[1:]
+
+# the line json.dumps writes for a record's dict form with compact
+# separators: strings escaped by json's own function, the complexity as
+# its float repr, the keys in the orders above
+_RECORD_LINE = (
+    '{"index":%d,"split":%s,"variant":%s,"spec":{"min_x":%d,"min_y":%d,"size_x":%d,'
+    '"size_y":%d,"start":[%d,%d],"goal":[%d,%d],"walls":[%s],"pits":[%s],"seed":%s},'
+    '"conversation":[%s],"complexity":%r,"lengths":{'
+    + ",".join(f'"{k}":%d' for k in LENGTH_KEYS) + "}}")
+_TURN = '{"role":%s,"text":%s}'
 
 
 def record_metrics(d: dict) -> tuple[int, int, tuple[float, ...]]:
@@ -75,18 +86,20 @@ class DatasetRecord:
     lengths: dict[str, int]
 
     def to_json_dict(self) -> dict:
-        return {
-            "index": self.index,
-            "split": self.split,
-            "variant": self.variant.name,
-            "spec": self.spec.to_json_dict(),
-            "conversation": [{"role": t.role, "text": t.text} for t in self.conversation],
-            "complexity": self.complexity,
-            "lengths": {k: self.lengths[k] for k in LENGTH_KEYS},
-        }
+        """The record's line, parsed."""
+        return json.loads(self.to_json_line())
 
     def to_json_line(self) -> str:
-        return json.dumps(self.to_json_dict(), separators=(",", ":"))
+        """The record's JSON line, without its newline: the format's one writer."""
+        spec = self.spec
+        walls, pits = spec.obstacles
+        return _RECORD_LINE % (
+            self.index, _string(self.split), _string(self.variant.name),
+            spec.min_x, spec.min_y, spec.size_x, spec.size_y, *spec.start, *spec.goal,
+            ",".join(["[%d,%d]" % c for c in walls]), ",".join(["[%d,%d]" % c for c in pits]),
+            "null" if spec.seed is None else "%d" % spec.seed,
+            ",".join([_TURN % (_string(t.role), _string(t.text)) for t in self.conversation]),
+            self.complexity, *[self.lengths[k] for k in LENGTH_KEYS])
 
     def metrics(self) -> tuple[int, int, tuple[float, ...]]:
         """``record_metrics`` of this record's line, read off the record."""
@@ -105,6 +118,10 @@ class DatasetRecord:
                 raise ValueError(f"unknown split {d['split']!r}")
             if type(d["index"]) is not int:
                 raise ValueError(f"index {d['index']!r} is not an int")
+            if type(d["variant"]) is not str:
+                raise ValueError("variant is not a JSON string")
+            if type(d["conversation"]) is not list:
+                raise ValueError("conversation is not a JSON array")
             for m in d["conversation"]:
                 _check_keys("turn", m, ("role", "text"))
             conversation = [PromptText(m["role"], m["text"]) for m in d["conversation"]]
@@ -345,9 +362,8 @@ def _check_record(obj, flag) -> DatasetRecord | None:
     if paths != 1:
         flag(f"expected exactly 1 simple path, found {'2 or more' if paths > 1 else 0}")
         return record
-    for kind, cells in (("walls", record.spec.walls), ("pits", record.spec.pits)):
-        listed = obj["spec"][kind]  # to_json_dict's form: sorted, each cell once
-        if listed != sorted(listed) or len(listed) != len(cells):
+    for kind, cells in zip(("walls", "pits"), record.spec.obstacles):
+        if obj["spec"][kind] != list(map(list, cells)):  # the line's form: each cell once, sorted
             flag(f"spec {kind} are not sorted and distinct")
     expected = record_for(record.spec, record.index, record.split, record.variant)
     if record.conversation[3].text != expected.conversation[3].text:

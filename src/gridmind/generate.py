@@ -215,8 +215,9 @@ def _grow_induced_tree(w: int, h: int, target: int, below: Callable[[int], int])
     the unique path between any two free cells.
     """
     # free neighbours per cell; a joined cell is set to 2, so later bumps
-    # (3, 4, 5) never make it eligible again, and so is the ring
-    touch = [0 if mark == FREE else 2 for mark in ring_board(w, h)]
+    # (3, 4, 5) never make it eligible again. The ring stays OFF: a ring
+    # cell touches at most one board cell, so it never reaches 1 or 2
+    touch = ring_board(w, h, 0)
     n = len(touch)
     steps = neighbour_steps(h)
     x = below(w)
@@ -287,10 +288,9 @@ def _attempt(params: GenParams, stream: Pcg64Stream, seed: int) -> GridSpec:
         j += 1
     start, goal = free[i], free[j]
 
-    board = ring_board(w, h)
-    for c, mark in enumerate(board):
-        if mark == FREE and c not in parent:
-            board[c] = WALL
+    board = ring_board(w, h, WALL)
+    for c in parent:
+        board[c] = FREE
     # pits only replace walls beside the solution, which the free tree
     # already fixes; one draw per such wall, in (x, y) order
     path = _tree_path(parent, start, goal)

@@ -66,9 +66,9 @@ FREE, WALL, PIT, OFF = -1, -2, -3, -4
 _LOG = (0.0, *map(math.log, range(1, 5)))
 
 
-def ring_board(size_x: int, size_y: int) -> list[int]:
-    """The marks of a ``size_x`` by ``size_y`` board of FREE cells and its ring."""
-    column = [OFF] + [FREE] * size_y + [OFF]
+def ring_board(size_x: int, size_y: int, fill: int = FREE) -> list[int]:
+    """The marks of a ``size_x`` by ``size_y`` board of ``fill`` cells and its ring."""
+    column = [OFF] + [fill] * size_y + [OFF]
     return [OFF] * (size_y + 2) + column * size_x + [OFF] * (size_y + 2)
 
 
@@ -80,12 +80,6 @@ def board_index(x: int, y: int, size_y: int) -> int:
 def neighbour_steps(size_y: int) -> tuple[int, int, int, int]:
     """The index offsets of the up, down, left and right neighbours."""
     return (1, -1, -size_y - 2, size_y + 2)
-
-
-def board_positions(min_x: int, min_y: int, size_x: int, size_y: int) -> list[Position]:
-    """The (x, y) of each index, ring included."""
-    return [(x, y) for x in range(min_x - 1, min_x + size_x + 1)
-            for y in range(min_y - 1, min_y + size_y + 1)]
 
 
 @dataclass(frozen=True)
@@ -154,16 +148,33 @@ class GridSpec:
 
         The one place a board built elsewhere becomes a spec's ``board``
         cache, so that a board already marked with its walls and pits is
-        not laid out again, and its path the solution, so that it is not
-        searched for.
+        not laid out again, its obstacles in board order the ``obstacles``
+        cache, so that they are not sorted, and its path the solution, so
+        that it is not searched for.
         """
-        where = board_positions(min_x, min_y, size_x, size_y)
-        spec = cls(min_x, min_y, size_x, size_y, where[path[0]], where[path[-1]],
-                   frozenset(where[c] for c, mark in enumerate(board) if mark == WALL),
-                   frozenset(where[c] for c, mark in enumerate(board) if mark == PIT), seed)
-        spec.__dict__["board"] = tuple(board)  # where cached_property keeps them
+        col, ox, oy = size_y + 2, min_x - 1, min_y - 1
+        walls: list[Position] = []
+        pits: list[Position] = []
+        for c, mark in enumerate(board):
+            if mark == WALL:
+                x, y = divmod(c, col)
+                walls.append((x + ox, y + oy))
+            elif mark == PIT:
+                x, y = divmod(c, col)
+                pits.append((x + ox, y + oy))
+        (sx, sy), (gx, gy) = divmod(path[0], col), divmod(path[-1], col)
+        spec = cls(min_x, min_y, size_x, size_y, (sx + ox, sy + oy), (gx + ox, gy + oy),
+                   frozenset(walls), frozenset(pits), seed)
+        # where cached_property keeps them; index order is (x, y) order
+        spec.__dict__["board"] = tuple(board)
+        spec.__dict__["obstacles"] = (tuple(walls), tuple(pits))
         spec.__dict__["_solution"] = spec._along(path, True)
         return spec
+
+    @cached_property
+    def obstacles(self) -> tuple[tuple[Position, ...], tuple[Position, ...]]:
+        """The walls and the pits, each sorted; ``from_board`` fills this cache."""
+        return tuple(sorted(self.walls)), tuple(sorted(self.pits))
 
     @cached_property
     def _solution(self) -> Solution | None:
@@ -226,8 +237,7 @@ class GridSpec:
 
     def free_cells(self) -> list[Position]:
         """All free cells in lexicographic order."""
-        where = board_positions(self.min_x, self.min_y, self.size_x, self.size_y)
-        return [where[c] for c, mark in enumerate(self.board) if mark == FREE]
+        return [self.position(c) for c, mark in enumerate(self.board) if mark == FREE]
 
     def validate(self) -> None:
         """Raise ValueError on any structural violation.
@@ -277,6 +287,7 @@ class GridSpec:
 
     def to_json_dict(self) -> dict:
         """Canonical JSON form: fixed key order, obstacle lists sorted."""
+        walls, pits = self.obstacles
         return {
             "min_x": self.min_x,
             "min_y": self.min_y,
@@ -284,8 +295,8 @@ class GridSpec:
             "size_y": self.size_y,
             "start": list(self.start),
             "goal": list(self.goal),
-            "walls": [list(c) for c in sorted(self.walls)],
-            "pits": [list(c) for c in sorted(self.pits)],
+            "walls": [list(c) for c in walls],
+            "pits": [list(c) for c in pits],
             "seed": self.seed,
         }
 

@@ -75,8 +75,8 @@ def parse_position(line: str) -> Position | None:
 
 
 def join_positions(cells) -> str:
-    """Lexicographically sorted list with a serial comma: '(a), (b), and (c)'."""
-    parts = [POSITION_TEXT[c] for c in sorted(cells)]
+    """Cells, already sorted, as a list with a serial comma: '(a), (b), and (c)'."""
+    parts = [POSITION_TEXT[c] for c in cells]
     if len(parts) == 1:
         return parts[0]
     return ", ".join(parts[:-1]) + ", and " + parts[-1]
@@ -84,11 +84,12 @@ def join_positions(cells) -> str:
 
 def render_obstacles(spec: GridSpec) -> str:
     """'The pit is at ... . The wall is at ... .' Empty when there are neither."""
+    walls, pits = spec.obstacles
     sentences = []
-    if spec.pits:
-        sentences.append(f"The pit is at {join_positions(spec.pits)}.")
-    if spec.walls:
-        sentences.append(f"The wall is at {join_positions(spec.walls)}.")
+    if pits:
+        sentences.append(f"The pit is at {join_positions(pits)}.")
+    if walls:
+        sentences.append(f"The wall is at {join_positions(walls)}.")
     return " ".join(sentences)
 
 

@@ -2,8 +2,9 @@
 fixed set of inputs: a small dataset (two shards and its stats sidecar), the
 spec lines ``test_generator_bytes_are_pinned`` hashes, what ``verify``
 reports on the dataset, the seeding at roots and indices of one to five
-32-bit words, and the stats sidecar of a report with no records. Standard
-library only, so any CPython >= 3.10 can run it without pytest::
+32-bit words, the stats sidecar of a report with no records, and the line
+of a hand-built record. Standard library only, so any CPython >= 3.10 can
+run it without pytest::
 
     python -I -B tests/interpreter_digests.py <src dir> <empty output dir>
 """
@@ -16,9 +17,10 @@ from pathlib import Path
 sys.path.insert(0, sys.argv[1])
 
 from gridmind.cogmap import CotVariant  # noqa: E402
-from gridmind.dataset import generate_dataset, verify_dataset  # noqa: E402
+from gridmind.dataset import generate_dataset, record_for, verify_dataset  # noqa: E402
 from gridmind.generate import (TEST_PARAMS, TRAIN_PARAMS, Pcg64Stream, derive_seed,  # noqa: E402
                                generate_indexed)
+from gridmind.grid import GridSpec  # noqa: E402
 from gridmind.stats import StatsReport, sidecar_text  # noqa: E402
 
 out = Path(sys.argv[2])
@@ -43,6 +45,11 @@ for seed in edges:
 digests["seeding"] = hashlib.sha256(json.dumps(seeding).encode()).hexdigest()
 # the empty report's sidecar: json's nulls and empty object, spelt by the template
 digests["empty sidecar"] = hashlib.sha256(sidecar_text(StatsReport()).encode()).hexdigest()
+# a hand-built record, with no seed, no pits and a complexity of 3 ln 2:
+# the record line's template spells null, an empty list and a float's repr
+corridor = GridSpec(0, 0, 3, 2, (0, 0), (2, 0), walls=frozenset({(1, 0)}))
+line = record_for(corridor, 0, "train", CotVariant.from_name("bwd-full-marked-bt")).to_json_line()
+digests["hand-built record"] = hashlib.sha256(line.encode()).hexdigest()
 violations = verify_dataset(out).violations
 digests["verify"] = [f"{Path(v.file).name}:{v.line}: {v.message}" for v in violations]
 print(json.dumps(digests, sort_keys=True))

@@ -112,6 +112,24 @@ def spec_line(spec) -> str:
     return json.dumps(spec.to_json_dict(), separators=(",", ":"))
 
 
+def record_line(record) -> str:
+    """A record's JSON line as ``json.dumps`` writes its dict form: keys in
+    the documented order, obstacle lists sorted, compact separators."""
+    spec = record.spec
+    return json.dumps({
+        "index": record.index,
+        "split": record.split,
+        "variant": record.variant.name,
+        "spec": {"min_x": spec.min_x, "min_y": spec.min_y, "size_x": spec.size_x,
+                 "size_y": spec.size_y, "start": list(spec.start), "goal": list(spec.goal),
+                 "walls": [list(c) for c in sorted(spec.walls)],
+                 "pits": [list(c) for c in sorted(spec.pits)], "seed": spec.seed},
+        "conversation": [{"role": role, "text": text} for role, text in record.conversation],
+        "complexity": record.complexity,
+        "lengths": {metric: record.lengths[metric] for metric in METRICS[1:]},
+    }, separators=(",", ":"))
+
+
 def path_states(spec, path) -> list[tuple]:
     """The start followed by every state the (action, state) trajectory enters."""
     return [spec.start] + [state for _, state in path]

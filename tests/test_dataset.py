@@ -18,6 +18,7 @@ from gridmind.dataset import (
     MAX_LINE_BYTES,
     RECORD_KEYS,
     SPEC_KEYS,
+    SPLITS,
     DatasetRecord,
     build_record,
     dataset_files,
@@ -32,10 +33,11 @@ from gridmind.dataset import (
 )
 from gridmind.generate import TRAIN_PARAMS, generate_indexed
 from gridmind.grid import GridSpec
+from gridmind.prompts import GPT, PromptText
 from gridmind.harness import load_plans
 from gridmind.stats import sidecar_text
 
-from oracles import spec_line
+from oracles import record_line, spec_line
 
 FWD_FULL_BT = CotVariant.from_name("fwd-full-bt")
 BWD_NONE = CotVariant.from_name("bwd-none")
@@ -93,6 +95,25 @@ def test_word_counts_are_split_counts(split, variant, strict, index):
         len(t.text.split()) for t in record.conversation[:3])
     assert record.lengths["thought_words"] == len(thought.split())
     assert record.lengths["plan_words"] == len(plan.split())
+
+
+@settings(max_examples=100, deadline=None)
+@given(index=st.integers(0, 10 ** 6),
+       cut=st.sampled_from([(), ("walls",), ("pits",), ("walls", "pits")]), text=st.text())
+def test_the_record_line_is_json_dumps_of_its_dict_form(index, cut, text):
+    for split in SPLITS:
+        spec = generate_indexed(split_params(split, seed=23), index)
+        for variant in ALL_VARIANTS:
+            record = record_for(spec, index, split, variant)
+            assert record.to_json_line() == record_line(record)
+        # a hand-built spec, its obstacles sorted on first read, with a reply
+        # whose text json must escape
+        hand = GridSpec(spec.min_x, spec.min_y, spec.size_x, spec.size_y, spec.start, spec.goal,
+                        frozenset() if "walls" in cut else spec.walls,
+                        frozenset() if "pits" in cut else spec.pits)
+        conversation = record.conversation[:3] + [PromptText(GPT, text)]
+        record = replace(record, spec=hand, conversation=conversation)
+        assert record.to_json_line() == record_line(record)
 
 
 def test_same_index_same_environment_across_variants():
@@ -420,6 +441,24 @@ def test_verify_flags_a_line_that_is_not_an_object_and_goes_on(tmp_path):
     # line 4 was decoded and checked: line 5 repeats it
     [duplicate] = report.violations[3:]
     assert (duplicate.line, duplicate.message.endswith(f"(also in {path}:4)")) == (5, True)
+
+
+@pytest.mark.parametrize("key,value,message", [
+    ("conversation", 5, "conversation is not a JSON array"),
+    ("variant", [1], "variant is not a JSON string"),
+], ids=["a number conversation", "a list variant"])
+def test_a_field_of_the_wrong_json_type_is_named(tmp_path, key, value, message):
+    good = build_record(split_params("train", seed=2), "train", BWD_NONE, 0).to_json_dict()
+    path = tmp_path / "data.jsonl"
+    path.write_text("\n".join(json.dumps(obj) for obj in ({**good, key: value}, good, good)) + "\n")
+    report = verify_dataset(path)
+    assert report.records == 3
+    # line 2 was decoded and checked: line 3 repeats it
+    assert [str(v) for v in report.violations] == [
+        f"{path}:1: {message}",
+        f"{path}:3: duplicate record ('train', 'bwd-none', 0) (also in {path}:2)"]
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:1: {message}$"):
+        load_records(path)
 
 
 @pytest.mark.parametrize("line", NOT_OBJECTS + ("[1]",))

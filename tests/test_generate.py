@@ -212,6 +212,17 @@ def test_the_draw_replica_matches_numpy(seed, draws):
         [theirs.random() if n is None else int(theirs.integers(n)) for n in draws]
 
 
+@settings(max_examples=200, deadline=None)
+@given(params=st.sampled_from([TRAIN_PARAMS, TEST_PARAMS]), index=st.integers(0, 10 ** 6))
+def test_the_handed_over_obstacles_are_the_sorted_ones(params, index):
+    spec = generate_indexed(params, index)
+    assert "obstacles" in vars(spec)  # filled in board order by from_board
+    twin = GridSpec(spec.min_x, spec.min_y, spec.size_x, spec.size_y, spec.start, spec.goal,
+                    spec.walls, spec.pits, spec.seed)
+    assert "obstacles" not in vars(twin)
+    assert spec.obstacles == twin.obstacles  # twin's sorted on this first read
+
+
 @pytest.mark.parametrize("params", [TRAIN_PARAMS, TEST_PARAMS], ids=["train", "test"])
 def test_the_handed_over_board_is_the_decoded_one(params):
     for index in range(500):
