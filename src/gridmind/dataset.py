@@ -115,11 +115,13 @@ class DatasetRecord:
             _check_keys("lengths", d["lengths"], LENGTH_KEYS)
             record_metrics(d)  # int sizes and lengths, a finite float complexity
             if d["split"] not in SPLITS:
-                raise ValueError(f"unknown split {d['split']!r}")
+                raise ValueError(f"unknown split {_quoted(d['split'])}")
             if type(d["index"]) is not int:
                 raise ValueError(f"index {d['index']!r} is not an int")
             if type(d["variant"]) is not str:
                 raise ValueError("variant is not a JSON string")
+            if d["variant"] not in VARIANT_NAMES:
+                raise ValueError(f"unknown variant {_quoted(d['variant'])}")
             if type(d["conversation"]) is not list:
                 raise ValueError("conversation is not a JSON array")
             for m in d["conversation"]:
@@ -138,6 +140,18 @@ class DatasetRecord:
             )
         except (AttributeError, KeyError, TypeError) as exc:
             raise ValueError(f"malformed record: {type(exc).__name__}: {exc}") from exc
+
+
+# the most characters of a value a message quotes
+QUOTE_CHARS = 200
+
+
+def _quoted(value) -> str:
+    """``repr(value)``, cut after ``QUOTE_CHARS`` characters, saying how many it cut."""
+    text = repr(value)
+    if len(text) <= QUOTE_CHARS:
+        return text
+    return f"{text[:QUOTE_CHARS]}... ({len(text) - QUOTE_CHARS} characters cut)"
 
 
 def _check_keys(name: str, obj: dict, keys: tuple[str, ...]) -> None:
@@ -381,12 +395,18 @@ def _check_record(obj, flag) -> DatasetRecord | None:
 
 
 def _sidecar_violation(path: Path, stats: StatsReport) -> Violation | None:
-    """The first line where a sidecar departs from the text ``generate`` writes for ``stats``."""
+    """The first line where a sidecar departs from the text ``generate`` writes
+    for ``stats``. Only a regular file is opened, since a FIFO would block the
+    read, and only one byte past the expected text is read."""
+    if not path.is_file():
+        reason = "Is a directory" if path.is_dir() else "Not a regular file"
+        return Violation(str(path), 1, f"cannot read stats sidecar: {reason}")
+    expected = sidecar_text(stats)
     try:
-        found = path.read_bytes().decode(errors="replace")  # no newline translation
+        with open(path, "rb") as fh:  # no newline translation; the text is ASCII
+            found = fh.read(len(expected) + 1).decode(errors="replace")
     except OSError as exc:
         return Violation(str(path), 1, f"cannot read stats sidecar: {exc.strerror}")
-    expected = sidecar_text(stats)
     if found == expected:
         return None
     if not stats.cells:
@@ -394,7 +414,8 @@ def _sidecar_violation(path: Path, stats: StatsReport) -> Violation | None:
     pairs = zip_longest(found.split("\n"), expected.split("\n"))
     for line, (got, want) in enumerate(pairs, start=1):
         if got != want:
-            return Violation(str(path), line, f"stats sidecar expected {want!r}, found {got!r}")
+            return Violation(str(path), line,
+                             f"stats sidecar expected {_quoted(want)}, found {_quoted(got)}")
     return None
 
 

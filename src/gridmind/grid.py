@@ -285,36 +285,29 @@ class GridSpec:
                 if not self.in_bounds(cell):
                     raise ValueError(f"{kind} {cell} is out of bounds")
 
-    def to_json_dict(self) -> dict:
-        """Canonical JSON form: fixed key order, obstacle lists sorted."""
-        walls, pits = self.obstacles
-        return {
-            "min_x": self.min_x,
-            "min_y": self.min_y,
-            "size_x": self.size_x,
-            "size_y": self.size_y,
-            "start": list(self.start),
-            "goal": list(self.goal),
-            "walls": [list(c) for c in walls],
-            "pits": [list(c) for c in pits],
-            "seed": self.seed,
-        }
-
     @classmethod
     def from_json_dict(cls, d: dict) -> "GridSpec":
-        """A cell that is not an (x, y) pair raises ValueError as it is unpacked."""
-        (sx, sy), (gx, gy) = d["start"], d["goal"]
-        return cls(
-            min_x=d["min_x"],
-            min_y=d["min_y"],
-            size_x=d["size_x"],
-            size_y=d["size_y"],
-            start=(sx, sy),
-            goal=(gx, gy),
-            walls=frozenset((x, y) for x, y in d["walls"]),
-            pits=frozenset((x, y) for x, y in d["pits"]),
-            seed=d.get("seed"),
-        )
+        """Decode a spec's JSON form; ``validate`` checks its numbers.
+
+        ``start`` and ``goal`` must each be an array of two items, and
+        ``walls`` and ``pits`` arrays of such arrays, or ValueError names the
+        field. The shapes are checked at C speed, a pass over the types and
+        one over the lengths; the code after a failed pass only names the field.
+        """
+        start, goal, walls, pits = d["start"], d["goal"], d["walls"], d["pits"]
+        if not (type(walls) is list and type(pits) is list
+                and set(map(type, chain((start, goal), walls, pits))) == {list}
+                and set(map(len, chain((start, goal), walls, pits))) == {2}):
+            def pair(cell) -> bool:
+                return type(cell) is list and len(cell) == 2
+
+            for name, cell in (("start", start), ("goal", goal)):
+                if not pair(cell):
+                    raise ValueError(f"{name} is not a JSON array of 2 items")
+            name = "pits" if type(walls) is list and all(map(pair, walls)) else "walls"
+            raise ValueError(f"{name} is not a JSON array of arrays of 2 items")
+        return cls(d["min_x"], d["min_y"], d["size_x"], d["size_y"], tuple(start), tuple(goal),
+                   frozenset(map(tuple, walls)), frozenset(map(tuple, pits)), d.get("seed"))
 
 
 Trajectory = list[tuple[Action, Position]]

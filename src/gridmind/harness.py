@@ -148,7 +148,8 @@ class OracleAgent(PlansAgent):
 def _play_reachable(spec: GridSpec, agent: Agent, transcript: list[PromptText],
                     optimal_len: int, max_steps: int) -> EpisodeResult:
     """The reachable protocol on board indices, from the first reply that ends
-    ``transcript``: a move is one board read."""
+    ``transcript``: a move is one board read. Each later reply is recorded as
+    the word that is scored, stripped, so padding is not resent."""
     board = spec.board
     c, goal = spec.cell(spec.start), spec.cell(spec.goal)
     offsets = dict(zip(ACTION_BY_WORD, neighbour_steps(spec.size_y)))
@@ -156,9 +157,9 @@ def _play_reachable(spec: GridSpec, agent: Agent, transcript: list[PromptText],
     steps = 0
     # the first reply may carry thought text: its last non-empty line is the move
     lines = [line for line in transcript[-1].text.split("\n") if line.strip()]
-    move = lines[-1] if lines else ""
+    move = lines[-1].strip() if lines else ""
     while True:
-        offset = offsets.get(move.strip())  # parse_action's vocabulary
+        offset = offsets.get(move)  # parse_action's vocabulary
         if offset is None:
             outcome = Outcome.INVALID
             break
@@ -180,7 +181,7 @@ def _play_reachable(spec: GridSpec, agent: Agent, transcript: list[PromptText],
         if text is None:
             text = observations[c] = render_observation(spec, spec.position(c))
         transcript.append(PromptText(HUMAN, text))
-        move = agent.respond(list(transcript))
+        move = agent.respond(list(transcript)).strip()
         transcript.append(PromptText(GPT, move))
     return EpisodeResult(outcome, steps, optimal_len, transcript)
 

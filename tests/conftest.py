@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from gridmind import GridSpec
+from gridmind.grid import GridSpec
 from gridmind.harness import Agent
 
 GOLDEN_DIR = Path(__file__).parent / "golden"

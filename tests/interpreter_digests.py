@@ -2,9 +2,10 @@
 fixed set of inputs: a small dataset (two shards and its stats sidecar), the
 spec lines ``test_generator_bytes_are_pinned`` hashes, what ``verify``
 reports on the dataset, the seeding at roots and indices of one to five
-32-bit words, the stats sidecar of a report with no records, and the line
-of a hand-built record. Standard library only, so any CPython >= 3.10 can
-run it without pytest::
+32-bit words, the stats sidecar of a report with no records, the line of a
+hand-built record, and the reachable eval reports of the scripted agents.
+Standard library only, with ``oracles`` beside it, so any CPython >= 3.10
+can run it without pytest::
 
     python -I -B tests/interpreter_digests.py <src dir> <empty output dir>
 """
@@ -14,14 +15,16 @@ import json
 import sys
 from pathlib import Path
 
-sys.path.insert(0, sys.argv[1])
+sys.path[:0] = [sys.argv[1], str(Path(__file__).resolve().parent)]
 
 from gridmind.cogmap import CotVariant  # noqa: E402
 from gridmind.dataset import generate_dataset, record_for, verify_dataset  # noqa: E402
 from gridmind.generate import (TEST_PARAMS, TRAIN_PARAMS, Pcg64Stream, derive_seed,  # noqa: E402
                                generate_indexed)
 from gridmind.grid import GridSpec  # noqa: E402
+from gridmind.harness import REACHABLE, evaluate_batch, scripted_agent_factory  # noqa: E402
 from gridmind.stats import StatsReport, sidecar_text  # noqa: E402
+from oracles import spec_line  # noqa: E402
 
 out = Path(sys.argv[2])
 digests = {}
@@ -31,8 +34,7 @@ for path in generate_dataset(out, "test", CotVariant.from_name("fwd-full-marked-
 for split, params in (("train", TRAIN_PARAMS), ("test", TEST_PARAMS)):
     digest = hashlib.sha256()
     for index in range(200):
-        spec = generate_indexed(params, index).to_json_dict()
-        digest.update(json.dumps(spec, separators=(",", ":")).encode() + b"\n")
+        digest.update(spec_line(generate_indexed(params, index)).encode() + b"\n")
     digests[f"{split} specs"] = digest.hexdigest()
 # seeds of one to five words, where zero padding stops and absorption starts:
 # the dataset above seeds with one or two, and numpy, the stream's oracle,
@@ -50,6 +52,12 @@ digests["empty sidecar"] = hashlib.sha256(sidecar_text(StatsReport()).encode()).
 corridor = GridSpec(0, 0, 3, 2, (0, 0), (2, 0), walls=frozenset({(1, 0)}))
 line = record_for(corridor, 0, "train", CotVariant.from_name("bwd-full-marked-bt")).to_json_line()
 digests["hand-built record"] = hashlib.sha256(line.encode()).hexdigest()
+# the scripted agents' reachable reports, whose rates are floats
+specs = [generate_indexed(TEST_PARAMS, index) for index in range(20)]
+for agent in ("dfs", "random", "oracle"):
+    report = evaluate_batch(specs, scripted_agent_factory(agent, REACHABLE), REACHABLE, seed=5)
+    blob = json.dumps(report.to_json_dict(), sort_keys=True).encode()
+    digests[f"eval {agent}"] = hashlib.sha256(blob).hexdigest()
 violations = verify_dataset(out).violations
 digests["verify"] = [f"{Path(v.file).name}:{v.line}: {v.message}" for v in violations]
 print(json.dumps(digests, sort_keys=True))

@@ -107,23 +107,28 @@ def moved(pos, action) -> tuple:
     return (pos[0] + dx, pos[1] + dy)
 
 
+def spec_dict(spec) -> dict:
+    """A spec's canonical JSON form, built from its fields: keys in the
+    documented order, obstacle lists sorted."""
+    return {"min_x": spec.min_x, "min_y": spec.min_y, "size_x": spec.size_x,
+            "size_y": spec.size_y, "start": list(spec.start), "goal": list(spec.goal),
+            "walls": [list(c) for c in sorted(spec.walls)],
+            "pits": [list(c) for c in sorted(spec.pits)], "seed": spec.seed}
+
+
 def spec_line(spec) -> str:
     """A spec's canonical JSON line, compact and without its newline."""
-    return json.dumps(spec.to_json_dict(), separators=(",", ":"))
+    return json.dumps(spec_dict(spec), separators=(",", ":"))
 
 
 def record_line(record) -> str:
     """A record's JSON line as ``json.dumps`` writes its dict form: keys in
-    the documented order, obstacle lists sorted, compact separators."""
-    spec = record.spec
+    the documented order, the spec as ``spec_dict``, compact separators."""
     return json.dumps({
         "index": record.index,
         "split": record.split,
         "variant": record.variant.name,
-        "spec": {"min_x": spec.min_x, "min_y": spec.min_y, "size_x": spec.size_x,
-                 "size_y": spec.size_y, "start": list(spec.start), "goal": list(spec.goal),
-                 "walls": [list(c) for c in sorted(spec.walls)],
-                 "pits": [list(c) for c in sorted(spec.pits)], "seed": spec.seed},
+        "spec": spec_dict(record.spec),
         "conversation": [{"role": role, "text": text} for role, text in record.conversation],
         "complexity": record.complexity,
         "lengths": {metric: record.lengths[metric] for metric in METRICS[1:]},
@@ -179,7 +184,7 @@ def reachable_episode(spec, replies, max_steps) -> tuple[str, int, list[tuple[st
 
     The agent replies ``replies`` in order, then the empty reply. Only the
     last non-blank line of the first reply is its move; a later reply is a
-    move only as a whole.
+    move only as a whole, and the turn records it stripped.
     """
     turns = [tuple(turn) for turn in render_instruction(spec)]
     pending = list(replies)
@@ -201,8 +206,7 @@ def reachable_episode(spec, replies, max_steps) -> tuple[str, int, list[tuple[st
         if steps == max_steps:
             return "max_step", steps, turns
         turns.append(("human", observation_text(spec, pos)))
-        reply = pending.pop(0) if pending else ""
-        word = reply.strip()
+        word = reply = (pending.pop(0) if pending else "").strip()
 
 
 def parse_observation(text: str):

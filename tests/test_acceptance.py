@@ -16,22 +16,25 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gridmind import (
+from gridmind.cogmap import ALL_VARIANTS, CotVariant, Direction, render_parts
+from gridmind.dataset import generate_dataset
+from gridmind.generate import TEST_PARAMS, TRAIN_PARAMS, generate_indexed
+from gridmind.grid import complexity, optimal_path
+from gridmind.harness import (
+    OPTIMAL,
+    REACHABLE,
+    Agent,
+    AgentTransportError,
     DfsAgent,
+    OracleAgent,
     Outcome,
     PlansAgent,
-    complexity,
     evaluate_batch,
     load_plans,
     plans_agent_factory,
     run_episode,
     scripted_agent_factory,
 )
-from gridmind.cogmap import ALL_VARIANTS, CotVariant, Direction, render_parts
-from gridmind.dataset import generate_dataset
-from gridmind.generate import TEST_PARAMS, TRAIN_PARAMS, generate_indexed
-from gridmind.grid import optimal_path
-from gridmind.harness import OPTIMAL, REACHABLE, Agent, AgentTransportError, OracleAgent
 from gridmind.prompts import RULES_TEXT, render_environment, render_instruction, render_observation
 
 from conftest import GOLDEN_DIR, load_golden
@@ -101,7 +104,7 @@ def test_acceptance_2_prompt_goldens(ref_env):
         assert turns[1].text == "OK"
         assert turns[2].text == render_environment(ref_env) == load_golden("environment_turn.txt")
 
-        from gridmind import GridSpec
+        from gridmind.grid import GridSpec
 
         obs_env = GridSpec(
             min_x=10, min_y=3, size_x=3, size_y=3, start=(10, 3), goal=(12, 5),

@@ -17,14 +17,14 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import example_env
-from gridmind import EpisodeAborted, Outcome, evaluate_batch, run_episode
 from gridmind.bridge import (
     MAX_REPLY_BYTES,
     HttpBridgeAgent,
     StdioBridgeAgent,
     bridge_agent_factory,
 )
-from gridmind.harness import REACHABLE, AgentTransportError
+from gridmind.harness import (REACHABLE, AgentTransportError, EpisodeAborted, Outcome, evaluate_batch,
+                              run_episode)
 from gridmind.prompts import render_instruction
 
 REF_PLAN = ["right", "right", "up", "right", "up"]

@@ -5,7 +5,6 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gridmind import Action, GridSpec
 from gridmind.cogmap import (
     ALL_VARIANTS,
     CUT_TOKEN,
@@ -19,7 +18,7 @@ from gridmind.cogmap import (
     render_target,
 )
 from gridmind.generate import TEST_PARAMS, TRAIN_PARAMS, generate_indexed
-from gridmind.grid import optimal_path
+from gridmind.grid import Action, GridSpec, optimal_path
 
 from conftest import load_golden, translate
 from oracles import DELTAS, search_trace, thought_text

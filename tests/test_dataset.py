@@ -1,7 +1,11 @@
 from __future__ import annotations
 
+import io
 import json
+import os
 import re
+import subprocess
+import sys
 import tempfile
 import threading
 import time
@@ -12,10 +16,12 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import gridmind.dataset as dataset
 from gridmind.cogmap import ALL_VARIANTS, CotVariant, join_reply, render_parts
 from gridmind.dataset import (
     LENGTH_KEYS,
     MAX_LINE_BYTES,
+    QUOTE_CHARS,
     RECORD_KEYS,
     SPEC_KEYS,
     SPLITS,
@@ -443,14 +449,26 @@ def test_verify_flags_a_line_that_is_not_an_object_and_goes_on(tmp_path):
     assert (duplicate.line, duplicate.message.endswith(f"(also in {path}:4)")) == (5, True)
 
 
+SPEC_SHAPES = {"start": "a JSON array of 2 items", "goal": "a JSON array of 2 items",
+               "walls": "a JSON array of arrays of 2 items",
+               "pits": "a JSON array of arrays of 2 items"}
+
+
 @pytest.mark.parametrize("key,value,message", [
     ("conversation", 5, "conversation is not a JSON array"),
     ("variant", [1], "variant is not a JSON string"),
-], ids=["a number conversation", "a list variant"])
+    ("walls", 5, f"walls is not {SPEC_SHAPES['walls']}"),
+    ("start", 5, f"start is not {SPEC_SHAPES['start']}"),
+    ("pits", "ab", f"pits is not {SPEC_SHAPES['pits']}"),
+    ("goal", [1, 2, 3], f"goal is not {SPEC_SHAPES['goal']}"),
+], ids=["a number conversation", "a list variant", "a number walls", "a number start",
+        "a string pits", "a goal of 3 items"])
 def test_a_field_of_the_wrong_json_type_is_named(tmp_path, key, value, message):
     good = build_record(split_params("train", seed=2), "train", BWD_NONE, 0).to_json_dict()
+    in_spec = key in SPEC_SHAPES
+    bad = {**good, "spec": {**good["spec"], key: value}} if in_spec else {**good, key: value}
     path = tmp_path / "data.jsonl"
-    path.write_text("\n".join(json.dumps(obj) for obj in ({**good, key: value}, good, good)) + "\n")
+    path.write_text("\n".join(json.dumps(obj) for obj in (bad, good, good)) + "\n")
     report = verify_dataset(path)
     assert report.records == 3
     # line 2 was decoded and checked: line 3 repeats it
@@ -459,6 +477,23 @@ def test_a_field_of_the_wrong_json_type_is_named(tmp_path, key, value, message):
         f"{path}:3: duplicate record ('train', 'bwd-none', 0) (also in {path}:2)"]
     with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:1: {message}$"):
         load_records(path)
+    if in_spec:  # from a record line and from a bare spec line
+        bare = tmp_path / "spec.jsonl"
+        bare.write_text(json.dumps(bad["spec"]) + "\n")
+        for target in (path, bare):
+            with pytest.raises(ValueError, match=f"^{re.escape(str(target))}:1: {message}$"):
+                load_specs(target)
+
+
+@pytest.mark.parametrize("key", ["split", "variant"])
+def test_an_unknown_name_is_quoted_in_cut_form(tmp_path, key):
+    good = build_record(split_params("train", seed=2), "train", BWD_NONE, 0).to_json_dict()
+    path = tmp_path / "data.jsonl"
+    path.write_text(json.dumps({**good, key: "x" * 100_000}) + "\n")
+    [violation] = verify_dataset(path).violations
+    text = repr("x" * 100_000)
+    assert violation.message == (
+        f"unknown {key} {text[:QUOTE_CHARS]}... ({len(text) - QUOTE_CHARS} characters cut)")
 
 
 @pytest.mark.parametrize("line", NOT_OBJECTS + ("[1]",))
@@ -580,6 +615,37 @@ def test_any_json_value_in_any_field_is_reported_not_raised(key_path, value):
                 assert str(exc).startswith(f"{path}:1: "), exc
 
 
+def _a_pair(value) -> bool:
+    return type(value) is list and len(value) == 2
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(SPEC_SHAPES)), st.integers(-1, 2),
+       _json_values | st.lists(st.lists(st.integers(0, 9), max_size=3), max_size=3))
+def test_a_spec_field_of_any_json_shape_is_named_or_decoded(key, at, value):
+    """A value put in place of a spec's cell field, or of one of its cells
+    (``at`` >= 0), is named by the field's expected type unless it has it."""
+    obj = json.loads(json.dumps(_FUZZ_RECORD))
+    cells = obj["spec"][key]
+    if key in ("walls", "pits") and 0 <= at < len(cells):
+        cells[at] = value
+    else:
+        obj["spec"][key] = value
+    cells = obj["spec"][key]
+    shaped = _a_pair(cells) if key in ("start", "goal") else (
+        type(cells) is list and all(map(_a_pair, cells)))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "data.jsonl"
+        path.write_text(json.dumps(obj) + "\n")
+        messages = [v.message for v in verify_dataset(path).violations]
+        if not shaped:
+            assert messages == [f"{key} is not {SPEC_SHAPES[key]}"]
+            with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:1: {key} is not"):
+                load_specs(path)
+        else:
+            assert not any(m.startswith(f"{key} is not") for m in messages)
+
+
 # good record lines with distinct indices, one of which a mutation replaces
 _GOOD_LINES = [build_record(split_params("train", seed=2), "train", FWD_FULL_BT, i).to_json_line()
                for i in (3, 4, 5)]
@@ -689,6 +755,76 @@ def test_verify_flags_an_unreadable_sidecar(tmp_path):
     assert [str(v) for v in verify_dataset(tmp_path).violations] == [
         f"{paths[-1]}:1: cannot read stats sidecar: Is a directory"
     ]
+
+
+def _fifo(path: Path) -> None:
+    path.unlink()
+    os.mkfifo(path)
+
+
+def _dir(path: Path) -> None:
+    path.unlink()
+    path.mkdir()
+
+
+def _appended(path: Path) -> None:
+    with open(path, "ab") as fh:
+        fh.write(b"x" * 1_000_000)
+
+
+def _truncated(path: Path) -> None:
+    path.write_bytes(path.read_bytes()[:-2])  # the closing "}\n"
+
+
+# a line of 0 or less counts back from the expected text's last, empty line
+@pytest.mark.parametrize("edit,line,message", [
+    (_fifo, 1, "cannot read stats sidecar: Not a regular file"),
+    (_dir, 1, "cannot read stats sidecar: Is a directory"),
+    (_appended, 0, "stats sidecar expected '', found 'x'"),
+    (_truncated, -1, "stats sidecar expected '}', found ''"),
+], ids=["a FIFO", "a directory", "1 MB appended", "truncated"])
+def test_verify_flags_a_sidecar_that_is_not_its_text_and_checks_the_records(
+        tmp_path, edit, line, message):
+    """The sidecar is flagged at its path in bounded time and memory, and the
+    records are checked all the same: the shard's bad line is flagged too."""
+    paths = generate_dataset(tmp_path, "train", BWD_NONE, 3, seed=2)
+    shard, sidecar = paths
+    last = sidecar.read_text().count("\n") + 1
+    shard.write_text(shard.read_text().replace('"index":1,', '"index":0,', 1))
+    edit(sidecar)
+    # a subprocess with a timeout: a FIFO that blocks the read fails the test
+    result = subprocess.run([sys.executable, "-m", "gridmind.cli", "verify", str(tmp_path)],
+                            capture_output=True, text=True, timeout=60)
+    printed = result.stdout.splitlines()
+    assert result.returncode == 1
+    assert printed[0].startswith(f"{shard}:2: duplicate record")
+    assert len(printed) == 3 and printed[2] == "checked 3 records: 2 violation(s)"
+    [violation] = [v for v in verify_dataset(tmp_path).violations if v.file == str(sidecar)]
+    assert printed[1] == f"{sidecar}:{line if line > 0 else last + line}: {message}"
+    assert str(violation) == printed[1]
+
+
+def test_a_sidecar_is_read_no_further_than_its_expected_text(tmp_path, monkeypatch):
+    """A long sidecar costs one byte past the expected text to read, and its
+    quoted line is cut."""
+    paths = generate_dataset(tmp_path, "train", BWD_NONE, 3, seed=2)
+    sidecar = paths[-1]
+    expected = sidecar.read_bytes()
+    sidecar.write_bytes(expected.replace(b'"count": 3,', b'"count": 3' + b"y" * 5000 + b",", 1))
+    reads = []
+
+    class Recording(io.FileIO):
+        def read(self, size=-1):
+            reads.append(size)
+            return super().read(size)
+
+    monkeypatch.setattr(dataset, "open", lambda path, mode: Recording(path) if path == sidecar
+                        else open(path, mode), raising=False)
+    [violation] = verify_dataset(tmp_path).violations
+    assert reads == [len(expected) + 1]
+    assert (violation.file, violation.line) == (str(sidecar), 2)
+    assert len(violation.message) < 3 * QUOTE_CHARS
+    assert violation.message.endswith("characters cut)")
 
 
 def test_verify_checks_sidecars_only_in_a_directory(tmp_path):

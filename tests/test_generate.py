@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from gridmind import GenParams, GenerationError, GridSpec, generate_environment, generate_indexed
-from gridmind.generate import TEST_PARAMS, TRAIN_PARAMS, Pcg64Stream, derive_seed
-from gridmind.grid import GLOBAL_MAX_COORD, complexity, optimal_path
+from gridmind.generate import (TEST_PARAMS, TRAIN_PARAMS, GenerationError, GenParams, Pcg64Stream,
+                               derive_seed, generate_environment, generate_indexed)
+from gridmind.grid import GLOBAL_MAX_COORD, GridSpec, complexity, optimal_path
 
-from oracles import enumerate_simple_paths, independent_complexity, is_tree, path_states, spec_line
+from oracles import (enumerate_simple_paths, independent_complexity, is_tree, path_states,
+                     spec_dict, spec_line)
 
 
 def test_derive_seed_stable_and_distinct():
@@ -227,7 +228,7 @@ def test_the_handed_over_obstacles_are_the_sorted_ones(params, index):
 def test_the_handed_over_board_is_the_decoded_one(params):
     for index in range(500):
         spec = generate_indexed(params, index)
-        decoded = GridSpec.from_json_dict(spec.to_json_dict())
+        decoded = GridSpec.from_json_dict(spec_dict(spec))
         assert spec.board == decoded.board
         assert optimal_path(spec) == optimal_path(decoded)
         assert complexity(spec) == complexity(decoded)

@@ -11,18 +11,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import gridmind
-from gridmind import (
-    ACTIONS,
-    Action,
-    GridSpec,
-    Outcome,
-    count_simple_paths,
-    optimal_path,
-    run_episode,
-    valid_actions,
-)
 from gridmind.generate import TEST_PARAMS, generate_indexed
-from gridmind.harness import REACHABLE
+from gridmind.grid import ACTIONS, Action, GridSpec, count_simple_paths, optimal_path, valid_actions
+from gridmind.harness import REACHABLE, Outcome, run_episode
 from gridmind.prompts import parse_observation, render_observation
 
 from conftest import ScriptedReplies, example_env, translate
@@ -365,3 +356,11 @@ def test_the_solution_is_read_in_grid_alone():
                  for alias in node.names}
     assert not imported & {"grid", "gridmind.grid"}
     assert "isinstance" not in {node.id for node in stats if isinstance(node, ast.Name)}
+
+
+def test_each_name_has_one_import_path():
+    """The package re-exports nothing: every name is imported from the module
+    that defines it."""
+    tree = ast.parse(Path(gridmind.__file__).read_text())
+    assert not [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert not hasattr(gridmind, "GridSpec")

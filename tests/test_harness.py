@@ -8,10 +8,18 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gridmind import (
+from gridmind.cogmap import CotVariant, join_reply, render_parts
+from gridmind.generate import TEST_PARAMS, TRAIN_PARAMS, derive_seed, generate_indexed
+from gridmind.grid import optimal_path
+from gridmind.harness import (
+    OPTIMAL,
+    REACHABLE,
+    Agent,
+    AgentTransportError,
     BatchReport,
     DfsAgent,
     EpisodeAborted,
+    OracleAgent,
     Outcome,
     PlansAgent,
     RandomValidAgent,
@@ -21,10 +29,6 @@ from gridmind import (
     run_episode,
     scripted_agent_factory,
 )
-from gridmind.cogmap import CotVariant, join_reply, render_parts
-from gridmind.generate import TEST_PARAMS, TRAIN_PARAMS, derive_seed, generate_indexed
-from gridmind.grid import optimal_path
-from gridmind.harness import OPTIMAL, REACHABLE, Agent, AgentTransportError, OracleAgent
 from gridmind.prompts import GPT, HUMAN, RULES_TEXT, render_instruction
 
 from conftest import GOLDEN_DIR, ConstantAgent, ScriptedReplies
@@ -135,6 +139,24 @@ def test_later_replies_must_be_bare_moves(ref_env):
     result = run_episode(ref_env, ScriptedMoves(replies), REACHABLE)
     assert result.outcome is Outcome.INVALID
     assert result.steps == 1
+
+
+def test_a_later_reply_is_recorded_as_its_stripped_word(ref_env):
+    """Padding is scored as before but not kept, so later requests do not
+    resend it; the first reply, which may carry a thought, stays verbatim."""
+    words = ["right", "right", "up", "right", "up"]
+    first = "Thought:\nsome musing\n\n  right \n"
+    padded = [first] + [" " * 1000 + w + "\t\n" for w in words[1:]]
+    result = run_episode(ref_env, ScriptedMoves(padded), REACHABLE)
+    plain = run_episode(ref_env, ScriptedMoves(words), REACHABLE)
+    assert (result.outcome, result.steps) == (plain.outcome, plain.steps) == (Outcome.SUCCESS, 5)
+    replies = [turn.text for turn in result.transcript[3::2]]
+    assert replies == [first] + words[1:]
+    assert [turn.text for turn in result.transcript[4::2]] == [
+        turn.text for turn in plain.transcript[4::2]]
+    padded_up = run_episode(ref_env, ConstantAgent("up" + " " * 1000), REACHABLE, max_steps=20)
+    assert (padded_up.outcome, padded_up.steps) == (Outcome.MAX_STEP, 20)
+    assert {turn.text for turn in padded_up.transcript[5::2]} == {"up"}
 
 
 def test_blocked_moves_charge_a_step_and_repeat_the_observation(ref_env):

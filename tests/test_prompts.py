@@ -5,7 +5,7 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gridmind import Action, GridSpec
+from gridmind.grid import Action, GridSpec
 from gridmind.generate import TEST_PARAMS, TRAIN_PARAMS, generate_indexed
 from gridmind.prompts import (
     ACK_TEXT,
@@ -125,7 +125,7 @@ def test_parse_observation_round_trip(ref_env):
         text = render_observation(ref_env, pos)
         current, moves = parse_observation(text)
         assert current == pos
-        from gridmind import valid_actions
+        from gridmind.grid import valid_actions
 
         assert moves == valid_actions(ref_env, pos)
 
@@ -146,7 +146,7 @@ def test_parse_observation_rejects_malformed():
 
 
 def test_round_trip_on_random_envs():
-    from gridmind import valid_actions
+    from gridmind.grid import valid_actions
 
     for index in range(40):
         spec = generate_indexed(TRAIN_PARAMS, index)

@@ -7,11 +7,12 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gridmind import GridSpec, StatsReport, complexity, export_heatmap, grid
+import gridmind.grid as grid
 from gridmind.dataset import build_record, record_metrics
 from gridmind.cogmap import CotVariant
 from gridmind.generate import TEST_PARAMS, TRAIN_PARAMS, generate_indexed
-from gridmind.stats import METRICS, sidecar_text
+from gridmind.grid import GridSpec, complexity
+from gridmind.stats import METRICS, StatsReport, export_heatmap, sidecar_text
 
 from conftest import translate
 from oracles import ReferenceStats, independent_complexity
