@@ -9,17 +9,16 @@ and expects one UTF-8 reply object ``{"text": "..."}`` of at most
 "outcome": "..."}`` notice closes the episode. A subprocess carries the
 protocol as one JSON object per line on stdin/stdout (POSIX only), an HTTP
 server as POSTs on /act. Each turn runs under one deadline of two timeouts.
-A timed-out HTTP request is sent once more, and a reply body still arriving
-at the deadline aborts. A stdio turn writes and reads under the deadline and
-never resends, since on an ordered pipe a late reply would then answer the
-next turn. A second timeout, a dead peer, or a malformed or oversized reply
-aborts the episode via AgentTransportError rather than polluting the outcome
-counts.
+A timed-out HTTP request is sent once more, and a reply still arriving at
+the deadline, in its status line, headers or body, aborts. A stdio turn
+writes and reads under the deadline and never resends, since on an ordered
+pipe a late reply would then answer the next turn. A second timeout, a dead
+peer, or a malformed or oversized reply aborts the episode via
+AgentTransportError rather than polluting the outcome counts.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import select
 import shlex
@@ -28,31 +27,31 @@ import subprocess
 import threading
 import time
 from contextlib import suppress
+from json.encoder import encode_basestring_ascii as _string
 
-from .dataset import MAX_LINE_BYTES as MAX_REPLY_BYTES  # the most agent output held before a reply
+from .dataset import MAX_LINE_BYTES as MAX_REPLY_BYTES, decode_object, turn_json
 from .harness import Agent, AgentTransportError
 from .prompts import PromptText
 
 DEFAULT_TIMEOUT = 30.0
 
+# the request and the end notice as json.dumps writes them with compact separators
+_REQUEST = '{"session":%s,"messages":[%s]}'
+_END = '{"type":"end","session":%s,"outcome":%s}'
 
-def _encode(obj: dict) -> bytes:
-    return json.dumps(obj, separators=(",", ":")).encode()
 
-
-def _messages(transcript: list[PromptText]) -> list[dict]:
-    return [{"role": t.role, "text": t.text} for t in transcript]
+def _request(session: str, transcript: list[PromptText]) -> bytes:
+    return (_REQUEST % (_string(session), ",".join(map(turn_json, transcript)))).encode()
 
 
 def _parse_reply(raw: bytes) -> str:
-    # decoded here: json.loads(bytes) would also accept UTF-16 and UTF-32
     try:
-        obj = json.loads(raw.decode("utf-8"))
+        text = decode_object(raw.decode()).get("text")
     except (ValueError, RecursionError) as exc:  # decode errors are ValueErrors
         raise AgentTransportError(f"malformed reply: {exc}") from exc
-    if not isinstance(obj, dict) or not isinstance(obj.get("text"), str):
-        raise AgentTransportError(f"reply lacks a text field: {raw!r}")
-    return obj["text"]
+    if not isinstance(text, str):
+        raise AgentTransportError("reply lacks a text field")
+    return text
 
 
 class StdioBridgeAgent(Agent):
@@ -116,15 +115,14 @@ class StdioBridgeAgent(Agent):
 
     def respond(self, transcript: list[PromptText]) -> str:
         self._ensure_started()
-        request = {"session": self._session, "messages": _messages(transcript)}
-        return _parse_reply(self._exchange(_encode(request) + b"\n"))
+        return _parse_reply(self._exchange(_request(self._session, transcript) + b"\n"))
 
     def close(self, outcome: str) -> None:
         if self._proc is None:
             return
-        proc, end = self._proc, {"type": "end", "session": self._session, "outcome": outcome}
+        proc, end = self._proc, _END % (_string(self._session), _string(outcome))
         with suppress(OSError):  # sent only if the pipe takes it without waiting
-            os.write(proc.stdin.fileno(), _encode(end) + b"\n")
+            os.write(proc.stdin.fileno(), end.encode() + b"\n")
         proc.stdin.close()
         with suppress(subprocess.TimeoutExpired):
             proc.wait(timeout=2)
@@ -143,38 +141,68 @@ class HttpBridgeAgent(Agent):
         self._session = session
         self._timeout = timeout
 
-    def _post(self, obj: dict, deadline: float) -> bytes:
-        """POST ``obj``; a reply body not complete by ``deadline`` aborts."""
-        import urllib.request  # here, since stdio and scripted runs never need it
+    def _post(self, body: bytes, deadline: float) -> bytes:
+        """POST ``body`` and read the reply, status line and headers included.
+        At ``deadline`` a timer marks the deadline passed and then shuts the
+        socket down, so that a read it cuts short is not taken for a reply.
+        Redirects are not followed and no proxy is used."""
+        # here, since stdio and scripted runs never need them
+        from http.client import HTTPConnection, HTTPException, HTTPSConnection
+        from socket import SHUT_RDWR
 
-        request = urllib.request.Request(self._url, data=_encode(obj),
-                                         headers={"Content-Type": "application/json"})
-        body = bytearray()
-        with urllib.request.urlopen(request, timeout=self._timeout) as response:
-            while chunk := response.read1(1 << 16):
-                body += chunk
-                if len(body) > MAX_REPLY_BYTES:
-                    raise AgentTransportError(f"reply over the {MAX_REPLY_BYTES}-byte reply cap")
-                if time.monotonic() > deadline and not response.isclosed():
-                    raise AgentTransportError(f"reply still arriving after {2 * self._timeout}s")
-        return bytes(body)
+        scheme, _, rest = self._url.partition("://")
+        host, _, path = rest.partition("/")
+        make = HTTPSConnection if scheme == "https" else HTTPConnection
+        connection = make(host, timeout=self._timeout)
+        # the socket is held here too: a reply read up to the hangup takes it off the connection
+        passed, sock = threading.Event(), None
+
+        def expire() -> None:
+            passed.set()
+            if sock is not None:  # else the check after connecting sees the mark
+                with suppress(OSError):  # closed already
+                    sock.shutdown(SHUT_RDWR)
+
+        timer = threading.Timer(deadline - time.monotonic(), expire)
+        timer.start()
+        try:
+            connection.connect()
+            sock = connection.sock
+            if not passed.is_set():
+                connection.request("POST", "/" + path, body, {"Content-Type": "application/json"})
+                response = connection.getresponse()
+                if not 200 <= response.status < 300:
+                    raise HTTPException(f"HTTP Error {response.status}: {response.reason}")
+                reply = response.read(MAX_REPLY_BYTES + 1)
+        except (HTTPException, OSError):
+            if not passed.is_set():
+                raise
+        finally:
+            timer.cancel()
+            timer.join()  # so that it cannot shut a socket down while it closes
+            connection.close()
+        if passed.is_set():
+            raise AgentTransportError(f"reply still arriving after {2 * self._timeout}s")
+        if len(reply) > MAX_REPLY_BYTES:
+            raise AgentTransportError(f"reply over the {MAX_REPLY_BYTES}-byte reply cap")
+        return reply
 
     def respond(self, transcript: list[PromptText]) -> str:
         from http.client import HTTPException
 
-        request = {"session": self._session, "messages": _messages(transcript)}
+        request = _request(self._session, transcript)
         deadline = time.monotonic() + 2 * self._timeout
         last_error: Exception | None = None
         for _ in (1, 2):
             try:
                 return _parse_reply(self._post(request, deadline))
-            except (HTTPException, OSError) as exc:  # URLError is an OSError
+            except (HTTPException, OSError) as exc:
                 last_error = exc
         raise AgentTransportError(f"agent unreachable: {last_error}") from last_error
 
     def close(self, outcome: str) -> None:  # run_episode swallows a failed close
-        self._post({"type": "end", "session": self._session, "outcome": outcome},
-                   time.monotonic() + 2 * self._timeout)
+        end = _END % (_string(self._session), _string(outcome))
+        self._post(end.encode(), time.monotonic() + 2 * self._timeout)
 
 
 def bridge_agent_factory(endpoint: str, timeout: float = DEFAULT_TIMEOUT):

@@ -39,7 +39,11 @@ _RECORD_LINE = (
     '"size_y":%d,"start":[%d,%d],"goal":[%d,%d],"walls":[%s],"pits":[%s],"seed":%s},'
     '"conversation":[%s],"complexity":%r,"lengths":{'
     + ",".join(f'"{k}":%d' for k in LENGTH_KEYS) + "}}")
-_TURN = '{"role":%s,"text":%s}'
+
+
+def turn_json(turn: PromptText) -> str:
+    """A turn as json.dumps writes it compactly: the one writer, for records and requests."""
+    return '{"role":%s,"text":%s}' % (_string(turn.role), _string(turn.text))
 
 
 def record_metrics(d: dict) -> tuple[int, int, tuple[float, ...]]:
@@ -98,7 +102,7 @@ class DatasetRecord:
             spec.min_x, spec.min_y, spec.size_x, spec.size_y, *spec.start, *spec.goal,
             ",".join(["[%d,%d]" % c for c in walls]), ",".join(["[%d,%d]" % c for c in pits]),
             "null" if spec.seed is None else "%d" % spec.seed,
-            ",".join([_TURN % (_string(t.role), _string(t.text)) for t in self.conversation]),
+            ",".join(map(turn_json, self.conversation)),
             self.complexity, *[self.lengths[k] for k in LENGTH_KEYS])
 
     def metrics(self) -> tuple[int, int, tuple[float, ...]]:
@@ -273,6 +277,13 @@ def dataset_files(target: str | Path) -> list[Path]:
 MAX_LINE_BYTES = 1 << 20
 
 
+def decode_object(text: str) -> dict:
+    """The JSON object a line from a file or an agent holds; else ValueError or RecursionError."""
+    if type(obj := json.loads(text)) is not dict:
+        raise ValueError("not a JSON object")
+    return obj
+
+
 def iter_json_lines(path: Path):
     """Yield (line_no, parsed object or None, error or None) per line, each
     line decoded from UTF-8 on its own. A line that is not a JSON object is an
@@ -289,10 +300,7 @@ def iter_json_lines(path: Path):
             try:
                 line = raw.decode()
                 if line.strip():
-                    obj = json.loads(line)
-                    if type(obj) is not dict:
-                        raise ValueError("not a JSON object")
-                    yield line_no, obj, None
+                    yield line_no, decode_object(line), None
             except (ValueError, RecursionError) as exc:  # decode errors are ValueErrors
                 yield line_no, None, str(exc)
 

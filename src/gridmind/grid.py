@@ -290,9 +290,11 @@ class GridSpec:
         """Decode a spec's JSON form; ``validate`` checks its numbers.
 
         ``start`` and ``goal`` must each be an array of two items, and
-        ``walls`` and ``pits`` arrays of such arrays, or ValueError names the
-        field. The shapes are checked at C speed, a pass over the types and
-        one over the lengths; the code after a failed pass only names the field.
+        ``walls`` and ``pits`` arrays of such arrays with no array or object
+        for a coordinate, which a set of cells cannot hash, or ValueError
+        names the field. The shapes are checked at C speed, a pass over the
+        types, one over the lengths and one over the coordinates; the code
+        after a failed pass only names the field.
         """
         start, goal, walls, pits = d["start"], d["goal"], d["walls"], d["pits"]
         if not (type(walls) is list and type(pits) is list
@@ -306,6 +308,10 @@ class GridSpec:
                     raise ValueError(f"{name} is not a JSON array of 2 items")
             name = "pits" if type(walls) is list and all(map(pair, walls)) else "walls"
             raise ValueError(f"{name} is not a JSON array of arrays of 2 items")
+        nested = {list, dict}
+        if not nested.isdisjoint(map(type, chain.from_iterable(chain(walls, pits)))):
+            name = "pits" if nested.isdisjoint(map(type, chain.from_iterable(walls))) else "walls"
+            raise ValueError(f"{name} has a coordinate that is a JSON array or object")
         return cls(d["min_x"], d["min_y"], d["size_x"], d["size_y"], tuple(start), tuple(goal),
                    frozenset(map(tuple, walls)), frozenset(map(tuple, pits)), d.get("seed"))
 

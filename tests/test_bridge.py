@@ -13,7 +13,7 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import example_env
@@ -25,7 +25,7 @@ from gridmind.bridge import (
 )
 from gridmind.harness import (REACHABLE, AgentTransportError, EpisodeAborted, Outcome, evaluate_batch,
                               run_episode)
-from gridmind.prompts import render_instruction
+from gridmind.prompts import PromptText, render_instruction
 
 REF_PLAN = ["right", "right", "up", "right", "up"]
 
@@ -90,6 +90,53 @@ def test_endpoint_parse():
         bridge_agent_factory("stdio:   ")
     with pytest.raises(ValueError, match="bad endpoint"):
         bridge_agent_factory("ftp://host")
+
+
+def _request(session: str, transcript: list[PromptText]) -> bytes:
+    """The request, as json.dumps writes it with compact separators."""
+    messages = [{"role": t.role, "text": t.text} for t in transcript]
+    return json.dumps({"session": session, "messages": messages}, separators=(",", ":")).encode()
+
+
+def _end(session: str, outcome: str) -> bytes:
+    """The end notice, as json.dumps writes it with compact separators."""
+    end = {"type": "end", "session": session, "outcome": outcome}
+    return json.dumps(end, separators=(",", ":")).encode()
+
+
+# any text, lone surrogates and control characters included
+_any_text = st.text(st.characters(exclude_categories=()))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_any_text, _any_text, st.lists(st.builds(PromptText, _any_text, _any_text), max_size=4))
+@example("ep-\ud800", "\x00\x1f\x7f", [PromptText("human", "\udfff\n\u2028\"\\")])
+def test_the_request_and_the_end_notice_are_compact_json(session, outcome, transcript):
+    sent = []
+    agent = HttpBridgeAgent("http://127.0.0.1:9", session)
+    agent._post = lambda body, deadline: sent.append(body) or b'{"text": "up"}'
+    assert agent.respond(transcript) == "up"
+    agent.close(outcome)
+    assert sent == [_request(session, transcript), _end(session, outcome)]
+
+
+def test_each_transport_sends_the_written_bytes(ref_env, tmp_path):
+    opening = render_instruction(ref_env)
+    log = tmp_path / "wire"
+    # the shell logs the request, answers it, then logs the end notice
+    script = """head -n 1 >"$1"; echo '{"text": "up"}'; cat >>"$1" """
+    agent = StdioBridgeAgent(["sh", "-c", script, "sh", str(log)], "s-0")
+    assert agent.respond(opening) == "up"
+    agent.close("fail")
+    assert log.read_bytes() == _request("s-0", opening) + b"\n" + _end("s-0", "fail") + b"\n"
+    server = _Server(lambda obj: '{"text": "up"}')
+    try:
+        agent = HttpBridgeAgent(server.url, "s-1")
+        assert agent.respond(opening) == "up"
+        agent.close("fail")
+    finally:
+        server.stop()
+    assert server.bodies == [_request("s-1", opening), _end("s-1", "fail")]
 
 
 def test_stdio_round_trip(ref_env, tmp_path):
@@ -314,10 +361,12 @@ class _Server:
     def __init__(self, reply):
         outer = self
         self.requests: list[tuple[str, dict]] = []
+        self.bodies: list[bytes] = []
 
         class Handler(BaseHTTPRequestHandler):
             def do_POST(self):
                 body = self.rfile.read(int(self.headers["Content-Length"]))
+                outer.bodies.append(body)
                 obj = json.loads(body)
                 outer.requests.append((self.path, obj))
                 payload = reply(obj)
@@ -463,6 +512,52 @@ def test_http_reply_trickled_past_the_deadline_aborts(ref_env):
         assert time.monotonic() - started < 3
         stop.set()
         server.join(5)
+        assert not server.is_alive()
+
+
+def _trickle(listener: socket.socket, head: bytes, drip: bytes, stop: threading.Event) -> None:
+    """Answer each connection with ``head``, then ``drip`` every 0.1 s for at
+    most 5 s, until ``stop`` is set."""
+    listener.settimeout(0.1)
+    while not stop.is_set():
+        try:
+            conn, _ = listener.accept()
+        except TimeoutError:
+            continue
+        with conn, suppress(OSError):  # the client hangs up mid-reply
+            conn.recv(1 << 16)
+            conn.sendall(head)
+            for _ in range(50):
+                if stop.wait(0.1):
+                    break
+                conn.sendall(drip)
+
+
+@pytest.mark.parametrize("head,drip", [
+    (b"HTTP/1.0 200 ", b"O"),
+    (b"HTTP/1.0 200 OK\r\n", b"X-Pad: x\r\n"),
+    (b"HTTP/1.0 200 OK\r\n\r\n", b" "),
+], ids=["status line", "headers", "body up to the hangup"])
+def test_http_reply_trickled_in_any_part_past_the_deadline_aborts(ref_env, head, drip):
+    """A byte or a header line every 0.1 s never trips the 0.5 s socket
+    timeout; the turn still ends at its deadline of two timeouts, unsent.
+    An HTTP/1.0 body with no length runs until the server hangs up, read
+    through a socket the connection object has handed to its response."""
+    stop = threading.Event()
+    with socket.socket() as listener:
+        listener.bind(("127.0.0.1", 0))
+        listener.listen()
+        server = threading.Thread(target=_trickle, args=(listener, head, drip, stop), daemon=True)
+        server.start()
+        agent = HttpBridgeAgent(f"http://127.0.0.1:{listener.getsockname()[1]}", "s-16", 0.5)
+        started = time.monotonic()
+        try:
+            with pytest.raises(AgentTransportError, match="still arriving"):
+                agent.respond(render_instruction(ref_env))
+            assert time.monotonic() - started < 2 * 0.5 + 0.5
+        finally:
+            stop.set()
+            server.join(5)
         assert not server.is_alive()
 
 

@@ -461,8 +461,10 @@ SPEC_SHAPES = {"start": "a JSON array of 2 items", "goal": "a JSON array of 2 it
     ("start", 5, f"start is not {SPEC_SHAPES['start']}"),
     ("pits", "ab", f"pits is not {SPEC_SHAPES['pits']}"),
     ("goal", [1, 2, 3], f"goal is not {SPEC_SHAPES['goal']}"),
+    ("walls", [[1, [2]]], "walls has a coordinate that is a JSON array or object"),
+    ("pits", [[{"a": 1}, 2]], "pits has a coordinate that is a JSON array or object"),
 ], ids=["a number conversation", "a list variant", "a number walls", "a number start",
-        "a string pits", "a goal of 3 items"])
+        "a string pits", "a goal of 3 items", "an array in a wall", "an object in a pit"])
 def test_a_field_of_the_wrong_json_type_is_named(tmp_path, key, value, message):
     good = build_record(split_params("train", seed=2), "train", BWD_NONE, 0).to_json_dict()
     in_spec = key in SPEC_SHAPES
@@ -620,30 +622,37 @@ def _a_pair(value) -> bool:
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.sampled_from(sorted(SPEC_SHAPES)), st.integers(-1, 2),
+@given(st.sampled_from(sorted(SPEC_SHAPES)), st.integers(-1, 2), st.integers(-1, 1),
        _json_values | st.lists(st.lists(st.integers(0, 9), max_size=3), max_size=3))
-def test_a_spec_field_of_any_json_shape_is_named_or_decoded(key, at, value):
-    """A value put in place of a spec's cell field, or of one of its cells
-    (``at`` >= 0), is named by the field's expected type unless it has it."""
+def test_a_spec_field_of_any_json_shape_is_named_or_decoded(key, at, within, value):
+    """A value put in place of a spec's cell field, of one of its cells
+    (``at`` >= 0), or of a coordinate of that cell (``within`` >= 0 too) is
+    named by the field's expected type unless it has it. A wall or pit
+    coordinate that is a JSON array or object is named as one."""
     obj = json.loads(json.dumps(_FUZZ_RECORD))
-    cells = obj["spec"][key]
-    if key in ("walls", "pits") and 0 <= at < len(cells):
+    paired = key in ("start", "goal")
+    cells = [obj["spec"][key]] if paired else obj["spec"][key]
+    if 0 <= at < len(cells) and within >= 0:
+        cells[at][within] = value
+    elif not paired and 0 <= at < len(cells):
         cells[at] = value
     else:
         obj["spec"][key] = value
     cells = obj["spec"][key]
-    shaped = _a_pair(cells) if key in ("start", "goal") else (
-        type(cells) is list and all(map(_a_pair, cells)))
+    shaped = _a_pair(cells) if paired else type(cells) is list and all(map(_a_pair, cells))
+    nested = shaped and not paired and any(type(c) in (list, dict) for cell in cells for c in cell)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "data.jsonl"
         path.write_text(json.dumps(obj) + "\n")
         messages = [v.message for v in verify_dataset(path).violations]
-        if not shaped:
-            assert messages == [f"{key} is not {SPEC_SHAPES[key]}"]
-            with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:1: {key} is not"):
+        named = (f"{key} is not {SPEC_SHAPES[key]}" if not shaped else
+                 f"{key} has a coordinate that is a JSON array or object" if nested else None)
+        if named is not None:
+            assert messages == [named]
+            with pytest.raises(ValueError, match=f"^{re.escape(f'{path}:1: {named}')}$"):
                 load_specs(path)
         else:
-            assert not any(m.startswith(f"{key} is not") for m in messages)
+            assert not any(m.startswith(key) for m in messages)
 
 
 # good record lines with distinct indices, one of which a mutation replaces
@@ -825,6 +834,41 @@ def test_a_sidecar_is_read_no_further_than_its_expected_text(tmp_path, monkeypat
     assert (violation.file, violation.line) == (str(sidecar), 2)
     assert len(violation.message) < 3 * QUOTE_CHARS
     assert violation.message.endswith("characters cut)")
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(st.binary(min_size=1).map(lambda tail: ("append", tail)),
+                 st.floats(0, 1, exclude_max=True).map(lambda share: ("cut", share))))
+def test_any_longer_or_cut_sidecar_is_flagged_at_its_path(edit):
+    """Bytes of any kind appended to a generated sidecar, or a cut at any
+    point, are flagged at the sidecar's path, after one read of at most one
+    byte past the expected text, and every record is checked all the same."""
+    with tempfile.TemporaryDirectory() as tmp:
+        shard, sidecar = generate_dataset(tmp, "train", BWD_NONE, 3, seed=2)
+        expected = sidecar.read_bytes()
+        kind, arg = edit
+        if kind == "append":
+            sidecar.write_bytes(expected + arg)
+        else:
+            sidecar.write_bytes(expected[:int(arg * len(expected))])
+        shard.write_text(shard.read_text().replace('"index":1,', '"index":0,', 1))
+        reads = []
+
+        class Recording(io.FileIO):
+            def read(self, size=-1):
+                reads.append(size)
+                return super().read(size)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(dataset, "open", lambda path, mode: Recording(path) if path == sidecar
+                          else open(path, mode), raising=False)
+            report = verify_dataset(tmp)
+        assert reads == [len(expected) + 1]
+        assert report.records == 3
+        flagged = [(v.file, v.line) for v in report.violations]
+        assert flagged[0] == (str(shard), 2)  # the duplicate record
+        [(file, line)] = flagged[1:]
+        assert file == str(sidecar) and 1 <= line <= expected.count(b"\n") + 2
 
 
 def test_verify_checks_sidecars_only_in_a_directory(tmp_path):
