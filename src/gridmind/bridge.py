@@ -28,12 +28,15 @@ import threading
 import time
 from contextlib import suppress
 from json.encoder import encode_basestring_ascii as _string
+from urllib.parse import urlsplit
 
 from .dataset import MAX_LINE_BYTES as MAX_REPLY_BYTES, decode_object, turn_json
 from .harness import Agent, AgentTransportError
 from .prompts import PromptText
 
 DEFAULT_TIMEOUT = 30.0
+# the seconds an agent gets, after the end notice, to take it and exit
+CLOSE_GRACE = 2.0
 
 # the request and the end notice as json.dumps writes them with compact separators
 _REQUEST = '{"session":%s,"messages":[%s]}'
@@ -125,7 +128,7 @@ class StdioBridgeAgent(Agent):
             os.write(proc.stdin.fileno(), end.encode() + b"\n")
         proc.stdin.close()
         with suppress(subprocess.TimeoutExpired):
-            proc.wait(timeout=2)
+            proc.wait(timeout=CLOSE_GRACE)
         with suppress(ProcessLookupError):  # a clean exit may leave children behind
             os.killpg(proc.pid, signal.SIGKILL)
         proc.wait()
@@ -133,11 +136,17 @@ class StdioBridgeAgent(Agent):
 
 
 class HttpBridgeAgent(Agent):
-    """POSTs each request to the server's /act endpoint."""
+    """POSTs each request to the endpoint's path with ``/act`` appended, unless
+    it ends in ``/act`` already, and its query after that."""
 
     def __init__(self, url: str, session: str, timeout: float = DEFAULT_TIMEOUT):
-        base = url.rstrip("/")
-        self._url = base if base.endswith("/act") else base + "/act"
+        parts = urlsplit(url)
+        if not parts.hostname:
+            raise ValueError(f"bad endpoint {url!r}: no host")
+        path = parts.path.rstrip("/")
+        path = path if path.endswith("/act") else path + "/act"
+        self._https, self._host = parts.scheme == "https", parts.netloc
+        self._target = path + "?" + parts.query if parts.query else path
         self._session = session
         self._timeout = timeout
 
@@ -150,10 +159,8 @@ class HttpBridgeAgent(Agent):
         from http.client import HTTPConnection, HTTPException, HTTPSConnection
         from socket import SHUT_RDWR
 
-        scheme, _, rest = self._url.partition("://")
-        host, _, path = rest.partition("/")
-        make = HTTPSConnection if scheme == "https" else HTTPConnection
-        connection = make(host, timeout=self._timeout)
+        make = HTTPSConnection if self._https else HTTPConnection
+        connection = make(self._host, timeout=self._timeout)
         # the socket is held here too: a reply read up to the hangup takes it off the connection
         passed, sock = threading.Event(), None
 
@@ -169,7 +176,7 @@ class HttpBridgeAgent(Agent):
             connection.connect()
             sock = connection.sock
             if not passed.is_set():
-                connection.request("POST", "/" + path, body, {"Content-Type": "application/json"})
+                connection.request("POST", self._target, body, {"Content-Type": "application/json"})
                 response = connection.getresponse()
                 if not 200 <= response.status < 300:
                     raise HTTPException(f"HTTP Error {response.status}: {response.reason}")
@@ -182,7 +189,7 @@ class HttpBridgeAgent(Agent):
             timer.join()  # so that it cannot shut a socket down while it closes
             connection.close()
         if passed.is_set():
-            raise AgentTransportError(f"reply still arriving after {2 * self._timeout}s")
+            raise AgentTransportError("reply still arriving at the deadline")
         if len(reply) > MAX_REPLY_BYTES:
             raise AgentTransportError(f"reply over the {MAX_REPLY_BYTES}-byte reply cap")
         return reply
@@ -202,7 +209,7 @@ class HttpBridgeAgent(Agent):
 
     def close(self, outcome: str) -> None:  # run_episode swallows a failed close
         end = _END % (_string(self._session), _string(outcome))
-        self._post(end.encode(), time.monotonic() + 2 * self._timeout)
+        self._post(end.encode(), time.monotonic() + CLOSE_GRACE)
 
 
 def bridge_agent_factory(endpoint: str, timeout: float = DEFAULT_TIMEOUT):
@@ -214,6 +221,7 @@ def bridge_agent_factory(endpoint: str, timeout: float = DEFAULT_TIMEOUT):
                          f"got {timeout}")
     if endpoint.startswith(("http://", "https://")):
         make, address = HttpBridgeAgent, endpoint
+        make(address, "", timeout)  # once, so that a bad URL fails before any episode
     elif endpoint.startswith("stdio:"):
         try:  # once, so that a bad command fails before any episode
             make, address = StdioBridgeAgent, shlex.split(endpoint[len("stdio:"):])

@@ -1,14 +1,9 @@
-"""Command line: generate datasets, verify them, report stats, run evals.
-
-The default seed comes from the GRIDMIND_SEED environment variable when
---seed is not given, falling back to 0.
-"""
+"""Command line: generate datasets, verify them, report stats, run evals."""
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -34,19 +29,6 @@ from .harness import (
 )
 from .stats import METRICS, export_heatmap, sidecar_text
 
-SEED_ENV_VAR = "GRIDMIND_SEED"
-
-
-def default_seed() -> int:
-    raw = os.environ.get(SEED_ENV_VAR)
-    if raw is None:
-        return 0
-    try:
-        return int(raw)
-    except ValueError:
-        raise SystemExit(f"{SEED_ENV_VAR} must be an integer, got {raw!r}")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gridmind",
@@ -58,7 +40,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--split", choices=SPLITS, required=True)
     gen.add_argument("--variant", choices=VARIANT_NAMES, required=True)
     gen.add_argument("--count", type=int, required=True)
-    gen.add_argument("--seed", type=int, default=None)
+    gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--shards", type=int, default=1)
     gen.add_argument("--out", required=True)
     gen.add_argument("--size-min", type=int, default=None)
@@ -89,28 +71,27 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--mode", choices=MODES, required=True)
     ev.add_argument("--max-steps", type=int, default=DEFAULT_MAX_STEPS)
     ev.add_argument("--workers", type=int, default=1)
-    ev.add_argument("--seed", type=int, default=None)
+    ev.add_argument("--seed", type=int, default=0)
     ev.add_argument("--timeout", type=float, default=DEFAULT_TIMEOUT)
     ev.add_argument("--report", default=None, help="write the full report JSON here")
     return parser
 
 
-def _gen_params(args, seed: int) -> GenParams | None:
+def _gen_params(args) -> GenParams | None:
     names = ("size_min", "size_max", "wall_density", "pit_density")
     overrides = {k: getattr(args, k) for k in names if getattr(args, k) is not None}
-    return replace(split_params(args.split, seed), **overrides) if overrides else None
+    return replace(split_params(args.split, args.seed), **overrides) if overrides else None
 
 
 def cmd_generate(args) -> int:
-    seed = args.seed if args.seed is not None else default_seed()
     paths = generate_dataset(
         out_dir=args.out,
         split=args.split,
         variant=CotVariant.from_name(args.variant),
         count=args.count,
-        seed=seed,
+        seed=args.seed,
         shards=args.shards,
-        params=_gen_params(args, seed),
+        params=_gen_params(args),
         strict=args.strict_backtrack,
     )
     for path in paths:
@@ -170,7 +151,6 @@ def _agent_factory(agent: str, mode: str, timeout: float, episodes: int):
 
 
 def cmd_eval(args) -> int:
-    seed = args.seed if args.seed is not None else default_seed()
     path = Path(args.report) if args.report else None
     if path:  # an unusable path fails before the test file is read
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -182,7 +162,7 @@ def cmd_eval(args) -> int:
         mode=args.mode,
         max_steps=args.max_steps,
         workers=args.workers,
-        seed=seed,
+        seed=args.seed,
     )
     payload = report.to_json_dict()
     for outcome, count in payload["counts"].items():

@@ -242,6 +242,9 @@ def generate_dataset(
     params = split_params(split, seed, params)
     params.validate()
     out = Path(out_dir)
+    for old in sorted(out.glob(f"{split}-{variant.name}-[0-9]*-of-*.jsonl")):
+        if not old.name.endswith(f"-of-{shards:04d}.jsonl"):  # verify would see both
+            raise ValueError(f"{old} is a {split} {variant.name} shard under another shard count")
     out.mkdir(parents=True, exist_ok=True)
     report = StatsReport()
     paths = []

@@ -18,7 +18,6 @@ flaky plumbing cannot masquerade as behavior.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -365,6 +364,7 @@ def evaluate_batch(
     if workers <= 1:
         report.episodes = [one(i) for i in range(len(specs))]
     else:
+        from concurrent.futures import ThreadPoolExecutor  # here, since one worker never needs it
         with ThreadPoolExecutor(max_workers=workers) as pool:
             report.episodes = list(pool.map(one, range(len(specs))))
     return report

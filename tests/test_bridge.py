@@ -17,6 +17,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import example_env
+from gridmind import bridge
 from gridmind.bridge import (
     MAX_REPLY_BYTES,
     HttpBridgeAgent,
@@ -80,7 +81,8 @@ def _assert_closed_clean(agent: StdioBridgeAgent) -> None:
 
 def test_endpoint_parse():
     http = bridge_agent_factory("http://host:9")(None, 0, 0)
-    assert isinstance(http, HttpBridgeAgent) and http._url == "http://host:9/act"
+    assert isinstance(http, HttpBridgeAgent)
+    assert (http._https, http._host, http._target) == (False, "host:9", "/act")
     assert isinstance(bridge_agent_factory("https://host/x")(None, 1, 0), HttpBridgeAgent)
     stdio = bridge_agent_factory("stdio:python3 agent.py --flag", timeout=5.0)(None, 2, 0)
     assert isinstance(stdio, StdioBridgeAgent)
@@ -413,9 +415,45 @@ def test_http_round_trip(ref_env):
 
 
 def test_http_url_normalization():
-    assert HttpBridgeAgent("http://h:1", "s")._url == "http://h:1/act"
-    assert HttpBridgeAgent("http://h:1/", "s")._url == "http://h:1/act"
-    assert HttpBridgeAgent("http://h:1/act", "s")._url == "http://h:1/act"
+    for url in ("http://h:1", "http://h:1/", "http://h:1/act"):
+        agent = HttpBridgeAgent(url, "s")
+        assert (agent._host, agent._target) == ("h:1", "/act")
+
+
+@pytest.mark.parametrize("suffix,target", [
+    ("/?k=v", "/act?k=v"),
+    ("?k=v", "/act?k=v"),
+    ("/act?k=v", "/act?k=v"),
+    ("/v1/?k=v#frag", "/v1/act?k=v"),
+], ids=["slash and query", "query and no path", "act and query", "path, query and fragment"])
+def test_an_endpoint_query_follows_act(ref_env, suffix, target):
+    server = _Server(_plan_reply)
+    try:
+        assert HttpBridgeAgent(server.url + suffix, "s-20").respond(
+            render_instruction(ref_env)) == "right"
+    finally:
+        server.stop()
+    assert [path for path, _ in server.requests] == [target]
+
+
+@pytest.mark.parametrize("endpoint", ["http://", "https://", "http:///act", "http://:80"])
+def test_an_endpoint_with_no_host_fails_before_any_episode(endpoint):
+    with pytest.raises(ValueError, match="no host"):
+        bridge_agent_factory(endpoint)
+
+
+def test_http_end_notice_gets_the_close_grace(monkeypatch):
+    """A server that takes the end notice and never answers holds close for
+    the grace, not for a turn's deadline of two timeouts."""
+    monkeypatch.setattr(bridge, "CLOSE_GRACE", 0.3)
+    with socket.socket() as listener:  # connections queue, and none is answered
+        listener.bind(("127.0.0.1", 0))
+        listener.listen()
+        agent = HttpBridgeAgent(f"http://127.0.0.1:{listener.getsockname()[1]}", "s-21", 5.0)
+        started = time.monotonic()
+        with pytest.raises(AgentTransportError, match="still arriving"):
+            agent.close("success")
+        assert time.monotonic() - started < 1.5
 
 
 def test_http_malformed_reply_aborts(ref_env):

@@ -78,25 +78,20 @@ def test_generate_is_deterministic_per_seed(tmp_path, capsys):
     assert a != (tmp_path / "c" / name).read_bytes()
 
 
-def test_seed_env_var_fallback(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("GRIDMIND_SEED", "7")
-    code, _ = run_cli(
-        ["generate", "--split", "train", "--variant", "fwd-full-bt",
-         "--count", "6", "--out", str(tmp_path / "env")],
-        capsys,
-    )
-    assert code == 0
-    run_cli(gen_args(tmp_path / "flag", seed="7"), capsys)
-    name = "train-fwd-full-bt-0000-of-0001.jsonl"
-    assert (tmp_path / "env" / name).read_bytes() == (tmp_path / "flag" / name).read_bytes()
+def test_gridmind_seed_in_the_environment_changes_no_output(tmp_path, capsys, monkeypatch):
+    """The seed is --seed, 0 by default: GRIDMIND_SEED, once read as the
+    default, leaves the bytes of generate and eval as they are."""
+    def run(out):
+        run_cli(["generate", "--split", "train", "--variant", "fwd-none", "--count", "4",
+                 "--out", str(out)], capsys)
+        run_cli(["eval", "--test-file", str(out), "--agent", "random", "--mode", "reachable",
+                 "--report", str(out / "report.json")], capsys)
+        return {f.name: f.read_bytes() for f in out.iterdir()}
 
-    monkeypatch.setenv("GRIDMIND_SEED", "not-a-number")
-    with pytest.raises(SystemExit):
-        run_cli(
-            ["generate", "--split", "train", "--variant", "fwd-full-bt",
-             "--count", "1", "--out", str(tmp_path / "bad")],
-            capsys,
-        )
+    plain = run(tmp_path / "plain")
+    monkeypatch.setenv("GRIDMIND_SEED", "7")
+    assert run(tmp_path / "set") == plain
+    assert json.loads(plain["report.json"])["seed"] == 0
 
 
 def test_generate_accepts_density_overrides(tmp_path, capsys):
@@ -457,33 +452,69 @@ def test_verify_exits_without_a_traceback_past_the_decoders_limits(tmp_path, cap
 @pytest.mark.parametrize("command", ["generate", "eval"])
 def test_a_negative_seed_exits_with_the_reason(tmp_path, capsys, command):
     """A seed split into 32-bit words must refuse a negative int, not loop."""
-    import os
     import subprocess
     import sys
 
-    env = dict(os.environ)
     if command == "generate":
         argv = gen_args(tmp_path / "data", count=2, seed="-1")
     else:
         run_cli(gen_args(tmp_path, count=2, variant="bwd-none"), capsys)
         argv = ["eval", "--test-file", str(tmp_path / "train-bwd-none-0000-of-0001.jsonl"),
-                "--agent", "oracle", "--mode", "optimal"]
-        env["GRIDMIND_SEED"] = "-1"
-    result = subprocess.run([sys.executable, "-m", "gridmind.cli", *argv], env=env,
+                "--agent", "oracle", "--mode", "optimal", "--seed", "-1"]
+    result = subprocess.run([sys.executable, "-m", "gridmind.cli", *argv],
                             capture_output=True, text=True, timeout=10)
     assert result.returncode == 1
     assert "expected non-negative integer" in result.stderr
 
 
 def test_the_command_line_imports_neither_numpy_nor_http():
-    """Start-up stays lean: numpy is only the tests' oracle, and the HTTP
-    modules load with the first HTTP agent."""
+    """Start-up stays lean: numpy is only the tests' oracle, the HTTP
+    modules load with the first HTTP agent, and the thread pool with the
+    first batch of more than one worker."""
     import subprocess
     import sys
 
     probe = ("import sys, gridmind.cli; "
-             "print(*sorted({'numpy', 'http.client', 'urllib.request'} & set(sys.modules)))")
+             "print(*sorted({'numpy', 'http.client', 'urllib.request', 'concurrent.futures'} & set(sys.modules)))")
     result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                             timeout=30)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == ""
+
+
+def test_no_module_reads_the_environment():
+    """A run depends on its flags and files alone."""
+    import ast
+    from pathlib import Path
+
+    import gridmind
+
+    reads = []
+    for path in sorted(Path(gridmind.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            names = []
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                names = [f"{node.value.id}.{node.attr}"]
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                names = [f"os.{alias.name}" for alias in node.names]
+            reads += [f"{path.name}:{node.lineno}: {name}" for name in names
+                      if name in {"os.environ", "os.environb", "os.getenv"}]
+    assert reads == []
+
+
+def test_generate_refuses_another_shard_count_in_the_same_directory(tmp_path, capsys):
+    """Two shard counts of one split and variant in one directory would read as
+    duplicate indices and a wrong sidecar, so the second run writes nothing."""
+    out = tmp_path / "data"
+    argv = gen_args(out, count=8, variant="fwd-none")
+    run_cli(argv + ["--shards", "4"], capsys)
+    before = {f.name: f.read_bytes() for f in out.iterdir()}
+    with pytest.raises(SystemExit, match="train-fwd-none-0000-of-0004.jsonl is a train "
+                                         "fwd-none shard under another shard count"):
+        run_cli(argv + ["--shards", "2"], capsys)
+    assert {f.name: f.read_bytes() for f in out.iterdir()} == before
+    assert run_cli(argv + ["--shards", "4"], capsys)[0] == 0  # a rerun overwrites
+    assert {f.name: f.read_bytes() for f in out.iterdir()} == before
+    run_cli(gen_args(out, count=3, variant="bwd-none") + ["--shards", "3"], capsys)
+    code, out_text = run_cli(["verify", str(out)], capsys)
+    assert (code, out_text.splitlines()[-1]) == (0, "checked 11 records: 0 violation(s)")
