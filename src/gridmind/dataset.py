@@ -19,7 +19,7 @@ from pathlib import Path
 
 from .cogmap import VARIANT_NAMES, CotVariant, join_reply, render_parts
 from .generate import GenParams, TEST_PARAMS, TRAIN_PARAMS, generate_indexed
-from .grid import GridSpec, complexity, count_simple_paths, optimal_path
+from .grid import GridSpec, complexity, count_simple_paths, require_one_path
 from .prompts import ACK_TEXT, GPT, RULES_TEXT, PromptText, render_instruction
 from .stats import METRICS, StatsReport, sidecar_text
 
@@ -333,15 +333,16 @@ def load_records(target: str | Path) -> list[DatasetRecord]:
 def _environment(obj: dict) -> GridSpec:
     spec = GridSpec.from_json_dict(obj["spec"] if "spec" in obj else obj)
     spec.validate()
-    optimal_path(spec)  # raises when the goal is unreachable
+    require_one_path(spec)
     return spec
 
 
 def load_specs(target: str | Path) -> list[GridSpec]:
     """Environments from dataset records or bare spec JSON lines.
 
-    Each one must pass ``GridSpec.validate`` and have a reachable goal;
-    otherwise a ValueError names the file and line.
+    Each one must pass ``GridSpec.validate`` and have a reachable goal and
+    exactly one simple path to it; otherwise a ValueError names the file and
+    line.
     """
     return list(read_jsonl(target, _environment))
 

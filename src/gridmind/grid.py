@@ -405,3 +405,11 @@ def count_simple_paths(spec: GridSpec) -> int:
                 elif j >= 0 and j != i and not (c == root and (j == i - 1 or j == i + 1)):
                     return 2
     return 1
+
+
+def require_one_path(spec: GridSpec) -> None:
+    """Raise ValueError unless the goal has exactly one simple path from the
+    start, with ``optimal_path``'s message when it has none."""
+    if count_simple_paths(spec) != 1:
+        optimal_path(spec)  # raises when the goal is unreachable
+        raise ValueError("expected exactly 1 simple path, found 2 or more")

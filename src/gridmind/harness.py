@@ -7,8 +7,8 @@ a time under a step budget: reaching the goal is Success, stepping into a
 pit is Deadend, exhausting the budget is MaxStep, and any reply that is not
 a move word ends the episode as Invalid. Blocked moves (wall or boundary)
 keep the agent in place, cost a step, and repeat the same observation. The
-loop walks the spec's board by index, and renders each cell's observation
-once per episode.
+loop walks the spec's board by index and builds each cell's observation turn
+once per episode; the scripted agents read each distinct observation once.
 
 Both protocols run through ``run_episode``: it alone asks the agent and it
 alone closes the agent, exactly once per episode, with the outcome or
@@ -25,7 +25,8 @@ from pathlib import Path
 from .cogmap import PlanParseError, parse_plan, serialize_plan
 from .dataset import read_jsonl
 from .generate import Pcg64Stream, derive_seed
-from .grid import ACTION_BY_WORD, FREE, PIT, Action, GridSpec, neighbour_steps, optimal_path
+from .grid import (ACTION_BY_WORD, FREE, PIT, Action, GridSpec, neighbour_steps, optimal_path,
+                   require_one_path)
 from .prompts import (
     GPT,
     HUMAN,
@@ -40,6 +41,10 @@ REACHABLE = "reachable"
 MODES = (OPTIMAL, REACHABLE)
 
 DEFAULT_MAX_STEPS = 200
+
+# one shared gpt turn per move word, and each word's inverse
+_MOVE_TURNS = {word: PromptText(GPT, word) for word in ACTION_BY_WORD}
+_INVERSE = {a.value: a.inverse.value for a in ACTION_BY_WORD.values()}
 
 
 class Outcome(Enum):
@@ -82,13 +87,14 @@ class RandomValidAgent(Agent):
 
     def __init__(self, seed: int):
         self._below = Pcg64Stream(seed).below
+        self._words: dict[str, list[str]] = {}  # each observation text read: its move words
 
     def respond(self, transcript: list[PromptText]) -> str:
-        _, moves = parse_observation(transcript[-1].text)
-        if not moves:
-            return Action.UP.value
-        action, _ = moves[self._below(len(moves))]
-        return action.value
+        text = transcript[-1].text
+        words = self._words.get(text)
+        if words is None:
+            words = self._words[text] = [a._value_ for a, _ in parse_observation(text)[1]]
+        return words[self._below(len(words))] if words else Action.UP.value
 
 
 class DfsAgent(Agent):
@@ -103,21 +109,26 @@ class DfsAgent(Agent):
     def __init__(self, seed: int):
         self._below = Pcg64Stream(seed).below
         self._visited: set[tuple[int, int]] = set()
-        self._undo: list[Action] = []
+        self._undo: list[str] = []
+        self._moves: dict[str, list] = {}  # text read: (destination, word, inverse) per move
 
     def respond(self, transcript: list[PromptText]) -> str:
-        current, moves = parse_observation(transcript[-1].text)
+        text = transcript[-1].text
         visited = self._visited
-        visited.add(current)
-        unvisited = [(a, d) for a, d in moves if d not in visited]
+        moves = self._moves.get(text)
+        if moves is None:  # its cell joins visited now, and the set only grows
+            current, parsed = parse_observation(text)
+            visited.add(current)
+            moves = self._moves[text] = [(d, a._value_, _INVERSE[a._value_]) for a, d in parsed]
+        unvisited = [m for m in moves if m[0] not in visited]
         if unvisited:
-            action, dest = unvisited[self._below(len(unvisited))]
+            dest, word, back = unvisited[self._below(len(unvisited))]
             visited.add(dest)
-            self._undo.append(action.inverse)
-            return action.value
+            self._undo.append(back)
+            return word
         if self._undo:
-            return self._undo.pop().value
-        return moves[0][0].value if moves else Action.UP.value
+            return self._undo.pop()
+        return moves[0][1] if moves else Action.UP.value
 
 
 class PlansAgent(Agent):
@@ -152,7 +163,7 @@ def _play_reachable(spec: GridSpec, agent: Agent, transcript: list[PromptText],
     board = spec.board
     c, goal = spec.cell(spec.start), spec.cell(spec.goal)
     offsets = dict(zip(ACTION_BY_WORD, neighbour_steps(spec.size_y)))
-    observations: dict[int, str] = {}
+    observations: dict[int, PromptText] = {}
     steps = 0
     # the first reply may carry thought text: its last non-empty line is the move
     lines = [line for line in transcript[-1].text.split("\n") if line.strip()]
@@ -176,12 +187,12 @@ def _play_reachable(spec: GridSpec, agent: Agent, transcript: list[PromptText],
         if steps >= max_steps:
             outcome = Outcome.MAX_STEP
             break
-        text = observations.get(c)
-        if text is None:
-            text = observations[c] = render_observation(spec, spec.position(c))
-        transcript.append(PromptText(HUMAN, text))
+        turn = observations.get(c)
+        if turn is None:
+            turn = observations[c] = PromptText(HUMAN, render_observation(spec, spec.position(c)))
+        transcript.append(turn)
         move = agent.respond(list(transcript)).strip()
-        transcript.append(PromptText(GPT, move))
+        transcript.append(_MOVE_TURNS.get(move) or PromptText(GPT, move))
     return EpisodeResult(outcome, steps, optimal_len, transcript)
 
 
@@ -192,14 +203,16 @@ def run_episode(
 
     The agent is closed with the outcome, or with "aborted" when the episode
     raised; an unknown mode or a step budget below 1 raises before the agent
-    is asked or closed.
+    is asked or closed, and a board without exactly one simple path to its
+    goal before the agent is asked.
     """
     if mode not in MODES or max_steps < 1:
         raise ValueError(f"need a mode in {MODES} and max_steps >= 1, got {mode!r}, {max_steps}")
     outcome = "aborted"
     try:
         transcript = render_instruction(spec)  # raises unless the start is a free cell
-        path = optimal_path(spec)  # raises before the agent is asked when the goal is unreachable
+        require_one_path(spec)  # before the agent is asked; one flag read on a tree
+        path = optimal_path(spec)
         transcript.append(PromptText(GPT, agent.respond(list(transcript))))
         if mode == OPTIMAL:
             try:

@@ -98,8 +98,7 @@ def render_observation(spec: GridSpec, pos: Position) -> str:
     text = POSITION_TEXT
     lines = ["Current:", text[pos], "Possible:"]
     for action, dest in valid_actions(spec, pos):
-        lines.append(text[dest])
-        lines.append(action.value)
+        lines += text[dest], action._value_  # the plain attribute behind .value
     return "\n".join(lines)
 
 
@@ -142,7 +141,7 @@ def parse_observation(text: str) -> tuple[Position, list[tuple[Action, Position]
     observation after the header lines: the last "Current:" line starts it.
     """
     lines = text.split("\n")
-    if "Current:" in lines:
+    if "Current:" in lines[1:]:  # a later one starts it; one on the first line already does
         lines = lines[len(lines) - 1 - lines[::-1].index("Current:"):]
     if len(lines) < 3 or lines[0] != "Current:" or lines[2] != "Possible:":
         raise ValueError(f"not an observation: {text!r}")

@@ -4,6 +4,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
 from gridmind.grid import GridSpec
 from gridmind.harness import Agent
@@ -69,6 +70,29 @@ class ScriptedReplies(Agent):
 
     def respond(self, transcript):
         return next(self._replies, "")
+
+
+@st.composite
+def small_boards(draw, off_board=False, split=False):
+    """Boards up to 5x5 anywhere on [0, 19]^2 with random walls and pits, so
+    cycles and sealed goals occur. With ``off_board``, obstacles also fall
+    within three cells outside the board, where a step past the ring of the
+    board layout would land if it wrapped. With ``split``, the obstacles are
+    walls only, pits only or a mix, in equal shares."""
+    w, h = draw(st.integers(2, 5)), draw(st.integers(2, 5))
+    ox, oy = draw(st.integers(0, 20 - w)), draw(st.integers(0, 20 - h))
+    cells = [(x, y) for x in range(ox, ox + w) for y in range(oy, oy + h)]
+    start, goal = draw(st.lists(st.sampled_from(cells), min_size=2, max_size=2, unique=True))
+    obstacles = draw(st.sets(st.sampled_from([c for c in cells if c not in (start, goal)])))
+    if off_board:
+        band = [(x, y) for x in range(ox - 3, ox + w + 3) for y in range(oy - 3, oy + h + 3)
+                if (x, y) not in cells]
+        obstacles |= draw(st.sets(st.sampled_from(band), max_size=12))
+    pits = draw(st.sets(st.sampled_from(sorted(obstacles)))) if obstacles else set()
+    if split:
+        pits = draw(st.sampled_from([set(), obstacles, pits]))
+    return GridSpec(min_x=ox, min_y=oy, size_x=w, size_y=h, start=start, goal=goal,
+                    walls=frozenset(obstacles - pits), pits=frozenset(pits))
 
 
 @pytest.fixture

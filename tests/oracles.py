@@ -16,7 +16,8 @@ from enum import Enum
 from typing import NamedTuple
 
 from gridmind.cogmap import PlanParseError
-from gridmind.grid import ACTION_BY_WORD
+from gridmind.generate import Pcg64Stream
+from gridmind.grid import ACTION_BY_WORD, GridSpec
 from gridmind.prompts import parse_action, parse_position, render_instruction
 from gridmind.stats import METRICS
 
@@ -233,6 +234,73 @@ def parse_observation(text: str):
             raise ValueError(f"bad move lines: {rest[i]!r}, {rest[i + 1]!r}")
         moves.append((action, dest))
     return current, moves
+
+
+class ReferenceRandomAgent:
+    """The random agent as first written: it parses every turn and keeps
+    Actions, drawing from ``Pcg64Stream(seed)`` among the offered moves."""
+
+    def __init__(self, seed: int):
+        self._below = Pcg64Stream(seed).below
+
+    def respond(self, transcript) -> str:
+        _, moves = parse_observation(transcript[-1].text)
+        if not moves:
+            return "up"
+        action, _ = moves[self._below(len(moves))]
+        return action.value
+
+    def close(self, outcome: str) -> None:
+        pass
+
+
+class ReferenceDfsAgent:
+    """The DFS agent as first written: it parses every turn, adds its cell
+    to the visited set, advances to a drawn unvisited destination, else
+    retreats along a stack of inverse Actions."""
+
+    def __init__(self, seed: int):
+        self._below = Pcg64Stream(seed).below
+        self._visited = set()
+        self._undo = []
+
+    def respond(self, transcript) -> str:
+        current, moves = parse_observation(transcript[-1].text)
+        self._visited.add(current)
+        unvisited = [(a, d) for a, d in moves if d not in self._visited]
+        if unvisited:
+            action, dest = unvisited[self._below(len(unvisited))]
+            self._visited.add(dest)
+            self._undo.append(ACTION_BY_WORD[OPPOSITE[action.value]])
+            return action.value
+        if self._undo:
+            return self._undo.pop().value
+        return moves[0][0].value if moves else "up"
+
+    def close(self, outcome: str) -> None:
+        pass
+
+
+_CELL = r"\((-?\d+), (-?\d+)\)"
+_HEADER = re.compile(rf"Grid is from {_CELL} to {_CELL}\. Goal: {_CELL}")
+_OBSTACLES = re.compile(r"The (pit|wall) is at ([^.]*)\.")
+
+
+def board_from_text(turns) -> GridSpec:
+    """The board an episode's opening turns describe, read from the text of
+    the environment turn alone; the seed, which the text does not hold, is
+    None. Its first observation must stand on the start."""
+    lines = turns[2].text.split("\n")
+    x0, y0, x1, y1, gx, gy = map(int, _HEADER.fullmatch(lines[0]).groups())
+    start = tuple(map(int, re.fullmatch(rf"Current: {_CELL}", lines[1]).groups()))
+    cells = {"pit": frozenset(), "wall": frozenset()}
+    if not lines[2].startswith("Current:"):
+        for kind, listed in _OBSTACLES.findall(lines[2]):
+            cells[kind] = frozenset((int(x), int(y)) for x, y in re.findall(_CELL, listed))
+    if parse_observation(turns[2].text)[0] != start:
+        raise ValueError("the first observation does not stand on the start")
+    return GridSpec(min_x=x0, min_y=y0, size_x=x1 - x0 + 1, size_y=y1 - y0 + 1, start=start,
+                    goal=(gx, gy), walls=cells["wall"], pits=cells["pit"])
 
 
 def is_tree(spec) -> bool:

@@ -218,6 +218,21 @@ def test_eval_names_the_line_of_an_unreachable_spec(tmp_path, capsys):
                  "--mode", "reachable"], capsys)
 
 
+@pytest.mark.parametrize("mode", ["optimal", "reachable"])
+def test_eval_names_the_line_of_a_spec_with_two_paths(tmp_path, capsys, mode):
+    # up,right and right,up are both shortest: optimal mode would score one a fail
+    spec = {"min_x": 0, "min_y": 0, "size_x": 2, "size_y": 2, "start": [0, 0],
+            "goal": [1, 1], "walls": [], "pits": [], "seed": None}
+    specs = tmp_path / "specs.jsonl"
+    specs.write_text(json.dumps(spec) + "\n")
+    plans = tmp_path / "plans.jsonl"
+    plans.write_text('{"text": "right\\nup"}\n')
+    needle = "1: expected exactly 1 simple path, found 2 or more"
+    with pytest.raises(SystemExit, match=f"^{re.escape(str(specs))}:{needle}$"):
+        run_cli(["eval", "--test-file", str(specs), "--agent", f"plans:{plans}",
+                 "--mode", mode], capsys)
+
+
 def test_eval_rejects_too_few_recorded_replies(tmp_path, capsys):
     run_cli(gen_args(tmp_path / "data", count=3, variant="bwd-none"), capsys)
     shard = tmp_path / "data" / "train-bwd-none-0000-of-0001.jsonl"

@@ -14,7 +14,7 @@ from functools import cached_property
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import gridmind.dataset as dataset
 from gridmind.cogmap import ALL_VARIANTS, CotVariant, join_reply, render_parts
@@ -43,6 +43,8 @@ from gridmind.prompts import GPT, PromptText
 from gridmind.harness import load_plans
 from gridmind.stats import sidecar_text
 
+import oracles
+from conftest import small_boards
 from oracles import record_line, spec_line
 
 FWD_FULL_BT = CotVariant.from_name("fwd-full-bt")
@@ -551,13 +553,29 @@ def test_load_specs_names_the_line_of_a_bad_spec(tmp_path):
                       walls=frozenset({(1, 0), (1, 1)}))
     batch = tmp_path / "bare" / "specs.jsonl"
     batch.parent.mkdir()
+    two_paths = GridSpec(min_x=0, min_y=0, size_x=2, size_y=2, start=(0, 0), goal=(1, 1))
     for bad, needle in ((sealed, "unreachable"),
-                        (replace(sealed, walls=frozenset({(0, 0)})), "obstacle")):
+                        (replace(sealed, walls=frozenset({(0, 0)})), "obstacle"),
+                        (two_paths, "expected exactly 1 simple path, found 2 or more$")):
         lines = [spec_line(r.spec) for r in records]
         lines[1] = spec_line(bad)
         batch.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match=f"^{re.escape(str(batch))}:2: .*{needle}"):
             load_specs(batch)
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_boards())
+def test_load_specs_accepts_exactly_the_boards_with_one_path(spec):
+    assume(oracles.shortest_path_length(spec) is not None)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "specs.jsonl"
+        path.write_text(spec_line(spec) + "\n")
+        if len(oracles.enumerate_simple_paths(spec, cap=2)) == 1:
+            assert load_specs(path) == [spec]
+        else:
+            with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:1: expected exactly 1"):
+                load_specs(path)
 
 
 def test_loaders_name_the_line_of_a_malformed_record(tmp_path):

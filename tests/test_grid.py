@@ -13,10 +13,11 @@ from hypothesis import given, settings, strategies as st
 import gridmind
 from gridmind.generate import TEST_PARAMS, generate_indexed
 from gridmind.grid import ACTIONS, Action, GridSpec, count_simple_paths, optimal_path, valid_actions
-from gridmind.harness import REACHABLE, Outcome, run_episode
-from gridmind.prompts import parse_observation, render_observation
+from gridmind.harness import REACHABLE, Outcome, _play_reachable, run_episode
+from gridmind.prompts import (GPT, PromptText, parse_observation, render_instruction,
+                              render_observation)
 
-from conftest import ScriptedReplies, example_env, translate
+from conftest import ScriptedReplies, example_env, small_boards, translate
 from oracles import (
     DELTAS,
     MoveKind,
@@ -31,11 +32,14 @@ from oracles import (
 
 
 def one_move(spec, pos, action):
-    """The outcome and cell after a reachable episode from ``pos`` makes the
+    """The outcome and cell after the reachable loop from ``pos`` makes the
     move ``action``: ("playing", the cell) when the move did not end the
     episode (its second, empty reply does, after an observation of the
-    cell), else (the outcome, None)."""
-    result = run_episode(replace(spec, start=pos), ScriptedReplies([action.value]), REACHABLE, 2)
+    cell), else (the outcome, None). The loop is played without
+    ``run_episode``, which refuses a goal with no path or two from ``pos``."""
+    start = replace(spec, start=pos)
+    transcript = render_instruction(start) + [PromptText(GPT, action.value)]
+    result = _play_reachable(start, ScriptedReplies([]), transcript, 0, 2)
     if result.outcome is not Outcome.INVALID:
         return result.outcome.value, None
     assert result.steps == 1
@@ -180,26 +184,6 @@ def test_count_simple_paths_limit():
     assert count_simple_paths(open_grid) == 2
 
 
-@st.composite
-def small_boards(draw, off_board=False):
-    """Boards up to 5x5 anywhere on [0, 19]^2 with random walls and pits, so
-    cycles and sealed goals occur. With ``off_board``, obstacles also fall
-    within three cells outside the board, where a step past the ring of the
-    board layout would land if it wrapped."""
-    w, h = draw(st.integers(2, 5)), draw(st.integers(2, 5))
-    ox, oy = draw(st.integers(0, 20 - w)), draw(st.integers(0, 20 - h))
-    cells = [(x, y) for x in range(ox, ox + w) for y in range(oy, oy + h)]
-    start, goal = draw(st.lists(st.sampled_from(cells), min_size=2, max_size=2, unique=True))
-    obstacles = draw(st.sets(st.sampled_from([c for c in cells if c not in (start, goal)])))
-    if off_board:
-        band = [(x, y) for x in range(ox - 3, ox + w + 3) for y in range(oy - 3, oy + h + 3)
-                if (x, y) not in cells]
-        obstacles |= draw(st.sets(st.sampled_from(band), max_size=12))
-    pits = draw(st.sets(st.sampled_from(sorted(obstacles)))) if obstacles else set()
-    return GridSpec(min_x=ox, min_y=oy, size_x=w, size_y=h, start=start, goal=goal,
-                    walls=frozenset(obstacles - pits), pits=frozenset(pits))
-
-
 @settings(max_examples=400, deadline=None)
 @given(small_boards())
 def test_count_simple_paths_matches_the_oracle(spec):
@@ -217,10 +201,6 @@ def test_board_walks_match_the_oracle(spec):
             (word, dest) for word, dest in steps if dest in free]
         if pos == spec.goal:
             continue
-        if shortest_path_length(replace(spec, start=pos)) is None:
-            with pytest.raises(ValueError):
-                one_move(spec, pos, Action.UP)
-            continue
         for action in ACTIONS:
             kind = move_kind(spec, pos, action.value)
             assert one_move(spec, pos, action) == expected_move(kind, pos, action)
@@ -231,6 +211,18 @@ def test_board_walks_match_the_oracle(spec):
     else:
         assert len(optimal_path(spec)) == length
     assert count_simple_paths(spec) == min(len(enumerate_simple_paths(spec, cap=2)), 2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_boards(off_board=True))
+def test_run_episode_plays_exactly_the_boards_with_one_path(spec):
+    paths = len(enumerate_simple_paths(spec, cap=2))
+    if paths == 1:
+        assert run_episode(spec, ScriptedReplies([]), REACHABLE).outcome is Outcome.INVALID
+    else:
+        needle = "goal is unreachable" if paths == 0 else "expected exactly 1 simple path"
+        with pytest.raises(ValueError, match=needle):
+            run_episode(spec, ScriptedReplies([]), REACHABLE)
 
 
 @pytest.mark.parametrize("end", ["start", "goal"])

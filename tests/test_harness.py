@@ -29,8 +29,11 @@ from gridmind.harness import (
     run_episode,
     scripted_agent_factory,
 )
-from gridmind.prompts import GPT, HUMAN, RULES_TEXT, render_instruction
+from gridmind.grid import GridSpec
+from gridmind.prompts import (GPT, HUMAN, RULES_TEXT, parse_observation, render_instruction,
+                              render_observation)
 
+import oracles
 from conftest import GOLDEN_DIR, ConstantAgent, ScriptedReplies
 from oracles import reachable_episode, shortest_path_length
 
@@ -435,6 +438,82 @@ def test_optimal_episode_renders_the_opening_once(monkeypatch):
     assert len(calls) == 10
 
 
+@pytest.mark.parametrize("agent", [DfsAgent, RandomValidAgent])
+def test_reachable_episode_renders_and_reads_each_cell_once(monkeypatch, agent):
+    """A revisited cell's observation is neither rendered nor parsed again:
+    one render per distinct cell the loop observes, and one parse per
+    distinct observation the agent reads, the environment turn included."""
+    import gridmind.harness as harness
+
+    renders, parses = [], []
+
+    def rendering(spec, pos):
+        renders.append(pos)
+        return render_observation(spec, pos)
+
+    def parsing(text):
+        parses.append(text)
+        return parse_observation(text)
+
+    monkeypatch.setattr(harness, "render_observation", rendering)
+    monkeypatch.setattr(harness, "parse_observation", parsing)
+    spec = generate_indexed(TEST_PARAMS, 0)
+    result = run_episode(spec, agent(derive_seed(0, 0)), REACHABLE)
+    observed = [oracles.parse_observation(turn.text)[0] for turn in result.transcript[4::2]]
+    assert len(observed) > len(set(observed))  # the episode revisits cells
+    assert len(renders) == len(set(observed))
+    assert len(parses) == len(renders) + 1
+
+
+_AGENTS_AND_REFERENCES = {"dfs": (DfsAgent, oracles.ReferenceDfsAgent),
+                          "random": (RandomValidAgent, oracles.ReferenceRandomAgent)}
+
+
+@settings(max_examples=150, deadline=None)
+@given(kind=st.sampled_from(sorted(_AGENTS_AND_REFERENCES)),
+       params=st.sampled_from([TRAIN_PARAMS, TEST_PARAMS]), index=st.integers(0, 10_000),
+       seed=st.integers(0, 2**64 - 1), max_steps=st.integers(1, 400))
+def test_scripted_agents_match_their_references(kind, params, index, seed, max_steps):
+    """Reading each observation once changes no reply: the agents and their
+    references, which parse every turn, play the same episode, and replaying
+    the replies through the reference loop gives the same turns."""
+    spec = generate_indexed(params, index)
+    agent, reference = _AGENTS_AND_REFERENCES[kind]
+    result = run_episode(spec, agent(seed), REACHABLE, max_steps)
+    expected = run_episode(spec, reference(seed), REACHABLE, max_steps)
+    assert (result.outcome, result.steps) == (expected.outcome, expected.steps)
+    assert result.transcript == expected.transcript
+    replies = [turn.text for turn in result.transcript[3::2]]
+    turns = [tuple(turn) for turn in result.transcript]
+    replayed = reachable_episode(spec, replies, max_steps)
+    assert replayed == (result.outcome.value, result.steps, turns)
+
+
+class TextPlanAgent(Agent):
+    """Plans from the transcript alone: it rebuilds the board from the
+    environment turn and replies with a breadth-first plan from the cell it
+    last observed, whole in optimal mode and one move per turn in reachable
+    mode."""
+
+    def __init__(self, mode):
+        self._whole = mode == OPTIMAL
+
+    def respond(self, transcript):
+        board = oracles.board_from_text(transcript)
+        here = oracles.parse_observation(transcript[-1].text)[0]
+        plan = oracles.search_trace(replace(board, start=here), "fwd").plan
+        return "\n".join(plan) if self._whole else plan[0]
+
+
+@pytest.mark.parametrize("mode", [OPTIMAL, REACHABLE])
+def test_a_planner_that_reads_only_the_text_always_succeeds(eval_boards, mode):
+    """The opening turns hold the whole task: the offline-planning baseline
+    beside DFS's online exploration."""
+    report = evaluate_batch(eval_boards, lambda spec, index, seed: TextPlanAgent(mode), mode)
+    assert report.counts["success"] == len(eval_boards)
+    assert [e.steps for e in report.episodes] == [e.optimal_len for e in report.episodes]
+
+
 def test_run_episode_rejects_unknown_mode(ref_env):
     agent = Recorder(ConstantAgent("up"))
     with pytest.raises(ValueError):
@@ -451,6 +530,16 @@ def test_an_unreachable_goal_raises_before_the_agent_is_asked(ref_env, mode):
     agent = Recorder(ConstantAgent("up"))
     with pytest.raises(ValueError, match="unreachable"):
         run_episode(sealed, agent, mode)
+    assert agent.asked == 0 and agent.closes == ["aborted"]
+
+
+@pytest.mark.parametrize("mode", [OPTIMAL, REACHABLE])
+def test_a_board_with_two_paths_raises_before_the_agent_is_asked(mode):
+    # both up,right and right,up are shortest: neither may be scored as the one path
+    open_board = GridSpec(min_x=0, min_y=0, size_x=2, size_y=2, start=(0, 0), goal=(1, 1))
+    agent = Recorder(ConstantAgent("up\nright"))
+    with pytest.raises(ValueError, match="^expected exactly 1 simple path, found 2 or more$"):
+        run_episode(open_board, agent, mode)
     assert agent.asked == 0 and agent.closes == ["aborted"]
 
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import re
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,7 +25,7 @@ from gridmind.prompts import (
     render_observation,
 )
 
-from conftest import load_golden, translate
+from conftest import load_golden, small_boards, translate
 import oracles
 
 
@@ -196,3 +197,10 @@ def test_parse_observation_matches_the_line_walk(text):
         assert str(raised.value) == str(exc)
     else:
         assert parse_observation(text) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.builds(generate_indexed, st.sampled_from([TRAIN_PARAMS, TEST_PARAMS]),
+                 st.integers(0, 10_000)) | small_boards(split=True))
+def test_the_opening_turns_describe_the_whole_board(spec):
+    assert oracles.board_from_text(render_instruction(spec)) == replace(spec, seed=None)
