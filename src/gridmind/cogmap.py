@@ -9,11 +9,14 @@ stops at the endpoint's layer, the number of layers always equals the
 solution length.
 
 ``build_search_trace`` writes the text in that one sweep, appending each
-probe's lines as it is made. Eight variants per direction control what is
-written: nothing at all, bare step headers, only kept moves, every probe
-labeled with its move word, or every probe with dead ones labeled ``cut``;
-each with or without a final "Backtrack:" walk of the solution. The plan
-itself is the move words, one per line. ``parse_plan`` inverts all of it.
+probe's lines as it is made. The sweep walks board indices, as every walk
+over a board does, and names each cell by its index in ``cell_names``, so
+no probe builds or hashes an (x, y) pair. Eight variants per direction
+control what is written: nothing at all, bare step headers, only kept
+moves, every probe labeled with its move word, or every probe with dead
+ones labeled ``cut``; each with or without a final "Backtrack:" walk of the
+solution. The plan itself is the move words, one per line. ``parse_plan``
+inverts all of it.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from functools import cache
 
 from .grid import (ACTION_BY_WORD, ACTIONS, FREE, OFF, Action, GridSpec, neighbour_steps,
                    optimal_path)
-from .prompts import POSITION_TEXT
+from .prompts import cell_names
 
 CUT_TOKEN = "cut"
 
@@ -86,7 +89,7 @@ _VARIANTS_BY_NAME = {v.name: v for v in ALL_VARIANTS}
 
 @cache
 def _probes(variant: CotVariant, size_y: int) -> tuple[tuple, ...]:
-    """(kept word, cut word, dx, dy, board index offset) per probe, in canonical
+    """(kept word, cut word, board index offset) per probe, in canonical
     action order, on a board ``size_y`` cells high.
 
     Labels name the move from the expanded cell for forward traces and the
@@ -99,7 +102,7 @@ def _probes(variant: CotVariant, size_y: int) -> tuple[tuple, ...]:
         word = (action if variant.direction is Direction.FWD else action.inverse).value
         kept = None if variant.verbosity is Verbosity.STEPS else word
         cut = {Verbosity.FULL: word, Verbosity.FULL_MARKED: CUT_TOKEN}.get(variant.verbosity)
-        out.append((kept, cut, *action.delta, d))
+        out.append((kept, cut, d))
     return tuple(out)
 
 
@@ -114,52 +117,47 @@ def build_search_trace(spec: GridSpec, variant: CotVariant, strict: bool = False
         return ""
     path = optimal_path(spec)
     fwd = variant.direction is Direction.FWD
-    root, terminal = (spec.start, spec.goal) if fwd else (spec.goal, spec.start)
+    start, goal = spec.cell(spec.start), spec.cell(spec.goal)
+    root, end = (start, goal) if fwd else (goal, start)
     probes = _probes(variant, spec.size_y)
-    text = POSITION_TEXT
+    names = cell_names(spec)
     lines = ["Thought:"]
     append = lines.append
     # a probe onto a FREE mark is kept and closes it; a cut's reason is not written
     mark = list(spec.board)
-    mark[spec.cell(root)] = OFF
-    end = spec.cell(terminal)
-    frontier = [(root, spec.cell(root))]
+    mark[root] = OFF
+    frontier = [root]
     layers = 0
     while mark[end] == FREE:
         layers += 1
         append(f"Step {layers}:")
         kept_cells = []
-        for (x, y), c in frontier:
-            for kept, cut, dx, dy, d in probes:
+        for c in frontier:
+            for kept, cut, d in probes:
                 n = c + d
                 if mark[n] == FREE:
                     mark[n] = OFF
-                    dest = (x + dx, y + dy)
-                    kept_cells.append((dest, n))
+                    kept_cells.append(n)
                     if kept:
-                        append(text[dest])
+                        append(names[n])
                         append(kept)
                 elif cut:
-                    append(text[(x + dx, y + dy)])
+                    append(names[n])
                     append(cut)
         frontier = kept_cells
     assert layers == len(path), "layer count must equal solution length"
     if variant.backtrack:
-        # forward: goal to start, each state with the move that reached it;
-        # backward: start to goal, each state with the move to take next
+        # from the terminal to the root, each state with a move: forward, the
+        # move that reached it; backward, the move to take next
         append("Backtrack:")
         first = len(lines)
-        if fwd:
-            for action, state in reversed(path):
-                append(text[state])
-                append(action._value_)
-        else:
-            state = spec.start
-            for action, nxt in path:
-                append(text[state])
-                append(action._value_)
-                state = nxt
-        append(text[root])
+        offset = dict(zip(ACTIONS, neighbour_steps(spec.size_y)))
+        c, sign = end, (-1 if fwd else 1)
+        for action, _ in reversed(path) if fwd else path:
+            append(names[c])
+            append(action._value_)
+            c += sign * offset[action]
+        append(names[root])
         if strict and fwd:
             lines[first:first + 2] = [lines[first] + lines[first + 1]]
     return "\n".join(lines)

@@ -19,8 +19,8 @@ from pathlib import Path
 
 from .cogmap import VARIANT_NAMES, CotVariant, join_reply, render_parts
 from .generate import GenParams, TEST_PARAMS, TRAIN_PARAMS, generate_indexed
-from .grid import GridSpec, complexity, count_simple_paths, require_one_path
-from .prompts import ACK_TEXT, GPT, RULES_TEXT, PromptText, render_instruction
+from .grid import GLOBAL_MAX_COORD, GridSpec, complexity, count_simple_paths, require_one_path
+from .prompts import ACK_TURN, GPT, RULES_TURN, PromptText, render_instruction
 from .stats import METRICS, StatsReport, sidecar_text
 
 TRAIN = "train"
@@ -44,6 +44,24 @@ _RECORD_LINE = (
 def turn_json(turn: PromptText) -> str:
     """A turn as json.dumps writes it compactly: the one writer, for records and requests."""
     return '{"role":%s,"text":%s}' % (_string(turn.role), _string(turn.text))
+
+
+# the opening turns every record shares, rules then acknowledgement, and
+# their JSON, written once
+_OPENING = [RULES_TURN, ACK_TURN]
+_OPENING_JSON = ",".join(map(turn_json, _OPENING))
+
+
+class _CellJson(dict):
+    """'[x,y]' per wall or pit cell; cells outside the table are formatted on
+    demand with the same %d, so a float or bool coordinate is written as an int."""
+
+    def __missing__(self, cell) -> str:
+        return "[%d,%d]" % cell
+
+
+_CELL_JSON = _CellJson(((x, y), "[%d,%d]" % (x, y))
+                       for x in range(GLOBAL_MAX_COORD + 1) for y in range(GLOBAL_MAX_COORD + 1))
 
 
 def record_metrics(d: dict) -> tuple[int, int, tuple[float, ...]]:
@@ -97,12 +115,17 @@ class DatasetRecord:
         """The record's JSON line, without its newline: the format's one writer."""
         spec = self.spec
         walls, pits = spec.obstacles
+        turns = self.conversation
+        if turns[:2] == _OPENING:  # found by comparison, so a decoded record's too
+            conversation = ",".join([_OPENING_JSON, *map(turn_json, turns[2:])])
+        else:
+            conversation = ",".join(map(turn_json, turns))
+        cell = _CELL_JSON.__getitem__
         return _RECORD_LINE % (
             self.index, _string(self.split), _string(self.variant.name),
             spec.min_x, spec.min_y, spec.size_x, spec.size_y, *spec.start, *spec.goal,
-            ",".join(["[%d,%d]" % c for c in walls]), ",".join(["[%d,%d]" % c for c in pits]),
-            "null" if spec.seed is None else "%d" % spec.seed,
-            ",".join(map(turn_json, self.conversation)),
+            ",".join(map(cell, walls)), ",".join(map(cell, pits)),
+            "null" if spec.seed is None else "%d" % spec.seed, conversation,
             self.complexity, *[self.lengths[k] for k in LENGTH_KEYS])
 
     def metrics(self) -> tuple[int, int, tuple[float, ...]]:
@@ -165,9 +188,9 @@ def _check_keys(name: str, obj: dict, keys: tuple[str, ...]) -> None:
         raise ValueError(f"{name} keys {list(obj.keys())} != {list(keys)}")
 
 
-# the opening turns every record shares, rules then acknowledgement
-_FIXED_CHARS = len(RULES_TEXT) + len(ACK_TEXT)
-_FIXED_WORDS = len(RULES_TEXT.split()) + len(ACK_TEXT.split())
+# the characters and words of the opening turns every record shares
+_FIXED_CHARS = sum(len(turn.text) for turn in _OPENING)
+_FIXED_WORDS = sum(len(turn.text.split()) for turn in _OPENING)
 
 
 def _words(text: str) -> int:

@@ -16,9 +16,13 @@ All randomness flows through ``Pcg64Stream``, a pure-Python stream that is
 bit-exact with numpy's ``Generator(PCG64(seed))``. Its seeding is numpy's
 ``SeedSequence``: entropy words are hashed and mixed into a pool of four
 32-bit words under one running constant, and the pool is hashed out into
-state under another. Record streams are seeded as ``SeedSequence`` spawn keys
-would seed them, so record i is a pure function of (seed, i) and shards can
-be produced concurrently. The scalar bounded draws (size, offset, every
+state under another. The constants those hashes step through are the same
+for every seed, so the steps of the first four words, of the twelve
+cross-mixes and of the eight output hashes are taken once, at import, and
+read from tables; only words past the fourth step the constant as they go.
+Record streams are seeded as ``SeedSequence`` spawn keys would seed them, so
+record i is a pure function of (seed, i) and shards can be produced
+concurrently. The scalar bounded draws (size, offset, every
 growth step, the start and goal) are ``Generator.integers(n)`` and the pit
 draws ``Generator.random()``. The output therefore depends on no installed
 numpy; property tests against numpy and the pinned generator bytes guard the
@@ -101,19 +105,40 @@ def _hashmix(pool: list[int], dst: int, word: int, const: int) -> int:
     return const
 
 
+def _steps(const: int, mult: int, count: int) -> list[tuple[int, int]]:
+    """The first ``count`` (constant, stepped constant) pairs of a running
+    hash constant: what each hash multiplies by is the stepped one."""
+    pairs = []
+    for _ in range(count):
+        pairs.append((const, const := const * mult & _M32))
+    return pairs
+
+
+# the steps no seed changes, taken once: the 4 fills of the pool, each
+# (src, dst) cross-mix with its step, and the 8 output hashes, each with
+# the pool word it reads
+_POOL_STEPS = _steps(_INIT_A, _MULT_A, 16)
+_FILLS = tuple(_POOL_STEPS[:4])
+_CROSS_MIXES = tuple((src, dst, *step) for (src, dst), step in zip(
+    [(src, dst) for src in range(4) for dst in range(4) if src != dst], _POOL_STEPS[4:]))
+_MIXED_CONST = _POOL_STEPS[-1][1]
+_OUTPUTS = tuple((i % 4, *step) for i, step in enumerate(_steps(_INIT_B, _MULT_B, 8)))
+
+
 def _pool(words: list[int]) -> tuple[list[int], int]:
     """numpy's ``SeedSequence`` pool after the entropy ``words``, and the
     running hash constant. The first four words fill the pool, zeros padding
     it, each pool word is mixed into every other one, and every later word is
     mixed into all four."""
-    pool, const = [], _INIT_A
-    for word in (words + [0] * 4)[:4]:
-        v = (word ^ const) * (const := const * _MULT_A & _M32) & _M32
+    pool = []
+    for word, (const, stepped) in zip((words + [0] * 4)[:4], _FILLS):
+        v = (word ^ const) * stepped & _M32
         pool.append(v ^ v >> 16)
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                const = _hashmix(pool, dst, pool[src], const)
+    for src, dst, const, stepped in _CROSS_MIXES:
+        v = (pool[src] ^ const) * stepped & _M32
+        x = (_MIX_L * pool[dst] - _MIX_R * (v ^ v >> 16)) & _M32
+        pool[dst] = x ^ x >> 16
+    const = _MIXED_CONST
     for word in words[4:]:
         for dst in range(4):
             const = _hashmix(pool, dst, word, const)
@@ -123,9 +148,9 @@ def _pool(words: list[int]) -> tuple[list[int], int]:
 def _state(pool: list[int], count: int) -> list[int]:
     """``SeedSequence.generate_state(count, numpy.uint64)``, ``count <= 4``:
     pool words hashed out in turn, two 32-bit halves per word, low first."""
-    halves, const = [], _INIT_B
-    for i in range(2 * count):
-        v = (pool[i % 4] ^ const) * (const := const * _MULT_B & _M32) & _M32
+    halves = []
+    for src, const, stepped in _OUTPUTS[:2 * count]:
+        v = (pool[src] ^ const) * stepped & _M32
         halves.append(v ^ v >> 16)
     return [halves[i] | halves[i + 1] << 32 for i in range(0, 2 * count, 2)]
 
@@ -294,7 +319,8 @@ def _attempt(params: GenParams, stream: Pcg64Stream, seed: int) -> GridSpec:
     # pits only replace walls beside the solution, which the free tree
     # already fixes; one draw per such wall, in (x, y) order
     path = _tree_path(parent, start, goal)
-    beside = {cell + d for cell in path for d in neighbour_steps(h)}
+    steps = neighbour_steps(h)
+    beside = {cell + d for cell in path for d in steps}
     for c in sorted(beside):
         if board[c] == WALL and stream.random() < params.pit_density:
             board[c] = PIT

@@ -221,6 +221,45 @@ class GridSpec:
         cells.reverse()
         return self._along(cells, tree)
 
+    @cached_property
+    def _simple_paths(self) -> int:
+        """``count_simple_paths``: 0, 1, or 2 for two or more.
+
+        When the start's component is a tree, as on every generated board,
+        the solution is its one simple path. Otherwise flood-fill the free
+        cells without crossing an edge of the BFS solution. Two solution
+        cells in one region are joined by a detour, which splices into a
+        second simple path, and a second simple path must leave the solution
+        and rejoin it by such a detour. So the solution is unique iff no
+        region holds two of its cells.
+
+        The flood marks a copy of the board: each solution cell with its
+        index on the path, each flooded cell closed.
+        """
+        solution = self._solution
+        if solution is None:
+            return 0
+        _, _, tree, roots = solution
+        if tree:
+            return 1
+        mark = list(self.board)
+        for i, root in enumerate(roots):
+            mark[root] = i
+        steps = neighbour_steps(self.size_y)
+        for i, root in enumerate(roots):
+            stack = [root]
+            while stack:
+                c = stack.pop()
+                for d in steps:
+                    n = c + d
+                    j = mark[n]
+                    if j == FREE:
+                        mark[n] = OFF
+                        stack.append(n)
+                    elif j >= 0 and j != i and not (c == root and (j == i - 1 or j == i + 1)):
+                        return 2
+        return 1
+
     def _along(self, cells: list[int], tree: bool) -> Solution:
         """The solution along the board indices ``cells``, start first."""
         board, col = self.board, self.size_y + 2
@@ -371,40 +410,10 @@ def complexity(spec: GridSpec) -> float:
 def count_simple_paths(spec: GridSpec) -> int:
     """Simple start-to-goal paths over free cells: 0, 1, or 2 for two or more.
 
-    Linear in the number of free cells. When the start's component is a
-    tree, as on every generated board, the solution is its one simple path.
-    Otherwise flood-fill the free cells without crossing an edge of the BFS
-    solution. Two solution cells in one region are joined by a detour, which
-    splices into a second simple path, and a second simple path must leave
-    the solution and rejoin it by such a detour. So the solution is unique
-    iff no region holds two of its cells.
-
-    The flood marks a copy of the board: each solution cell with its index
-    on the path, each flooded cell closed.
+    Linear in the number of free cells, and counted once per spec: the count
+    is kept on the spec beside its solution.
     """
-    solution = spec._solution
-    if solution is None:
-        return 0
-    _, _, tree, roots = solution
-    if tree:
-        return 1
-    mark = list(spec.board)
-    for i, root in enumerate(roots):
-        mark[root] = i
-    steps = neighbour_steps(spec.size_y)
-    for i, root in enumerate(roots):
-        stack = [root]
-        while stack:
-            c = stack.pop()
-            for d in steps:
-                n = c + d
-                j = mark[n]
-                if j == FREE:
-                    mark[n] = OFF
-                    stack.append(n)
-                elif j >= 0 and j != i and not (c == root and (j == i - 1 or j == i + 1)):
-                    return 2
-    return 1
+    return spec._simple_paths
 
 
 def require_one_path(spec: GridSpec) -> None:

@@ -75,6 +75,13 @@ class Agent:
     """Maps a transcript (list of PromptText) to the next reply text."""
 
     def respond(self, transcript: list[PromptText]) -> str:
+        """The reply to the last turn of ``transcript``.
+
+        The list belongs to the agent: every call of an episode gets the
+        same list, grown by the turns since the last call, and the episode
+        scores a transcript of its own, so editing the list changes nothing
+        that is scored.
+        """
         raise NotImplementedError
 
     def close(self, outcome: str) -> None:
@@ -156,10 +163,11 @@ class OracleAgent(PlansAgent):
 
 
 def _play_reachable(spec: GridSpec, agent: Agent, transcript: list[PromptText],
-                    optimal_len: int, max_steps: int) -> EpisodeResult:
+                    seen: list[PromptText], optimal_len: int, max_steps: int) -> EpisodeResult:
     """The reachable protocol on board indices, from the first reply that ends
     ``transcript``: a move is one board read. Each later reply is recorded as
-    the word that is scored, stripped, so padding is not resent."""
+    the word that is scored, stripped, so padding is not resent. The agent is
+    handed ``seen``, its own list, and each new turn is appended to both."""
     board = spec.board
     c, goal = spec.cell(spec.start), spec.cell(spec.goal)
     offsets = dict(zip(ACTION_BY_WORD, neighbour_steps(spec.size_y)))
@@ -191,8 +199,11 @@ def _play_reachable(spec: GridSpec, agent: Agent, transcript: list[PromptText],
         if turn is None:
             turn = observations[c] = PromptText(HUMAN, render_observation(spec, spec.position(c)))
         transcript.append(turn)
-        move = agent.respond(list(transcript)).strip()
-        transcript.append(_MOVE_TURNS.get(move) or PromptText(GPT, move))
+        seen.append(turn)
+        move = agent.respond(seen).strip()
+        turn = _MOVE_TURNS.get(move) or PromptText(GPT, move)
+        transcript.append(turn)
+        seen.append(turn)
     return EpisodeResult(outcome, steps, optimal_len, transcript)
 
 
@@ -213,7 +224,8 @@ def run_episode(
         transcript = render_instruction(spec)  # raises unless the start is a free cell
         require_one_path(spec)  # before the agent is asked; one flag read on a tree
         path = optimal_path(spec)
-        transcript.append(PromptText(GPT, agent.respond(list(transcript))))
+        seen = list(transcript)  # the agent's own list, for the whole episode
+        transcript.append(PromptText(GPT, agent.respond(seen)))
         if mode == OPTIMAL:
             try:
                 _, actions = parse_plan(transcript[-1].text)
@@ -222,7 +234,8 @@ def run_episode(
             scored = Outcome.SUCCESS if actions == [a for a, _ in path] else Outcome.FAIL
             result = EpisodeResult(scored, len(actions), len(path), transcript)
         else:
-            result = _play_reachable(spec, agent, transcript, len(path), max_steps)
+            seen.append(transcript[-1])
+            result = _play_reachable(spec, agent, transcript, seen, len(path), max_steps)
         outcome = result.outcome.value
         return result
     finally:

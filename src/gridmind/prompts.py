@@ -43,6 +43,11 @@ class PromptText(NamedTuple):
     text: str
 
 
+# the two turns every episode opens with, shared: a PromptText is immutable
+RULES_TURN = PromptText(HUMAN, RULES_TEXT)
+ACK_TURN = PromptText(GPT, ACK_TEXT)
+
+
 def format_position(pos: Position) -> str:
     return f"({pos[0]}, {pos[1]})"
 
@@ -54,13 +59,34 @@ class _PositionText(dict):
         return format_position(pos)
 
 
-# every cell a valid board or a probe of one can name: one step around [0, 19]^2
+# every cell a valid board or a probe of one can name: one step around [0, 19]^2,
+# by (x, y) for the cells of turns and, inverted, for parse_position
 POSITION_TEXT = _PositionText(
     ((x, y), format_position((x, y)))
     for x in range(-1, GLOBAL_MAX_COORD + 2)
     for y in range(-1, GLOBAL_MAX_COORD + 2)
 )
 _POSITION_OF = {text: pos for pos, text in POSITION_TEXT.items()}
+# the same names by column, for cell_names: _COLUMNS[x + 1][y + 1] names (x, y)
+_COLUMNS = [[POSITION_TEXT[x, y] for y in range(-1, GLOBAL_MAX_COORD + 2)]
+            for x in range(-1, GLOBAL_MAX_COORD + 2)]
+
+
+def cell_names(spec: GridSpec) -> list[str]:
+    """The '(x, y)' name of each board index of ``spec``, its ring included.
+
+    A board inside [0, 19]^2 is read from slices of the columns of
+    ``POSITION_TEXT``; a board beyond it has its names formatted here.
+    """
+    lo, hi = spec.min_y, spec.min_y + spec.size_y + 2
+    if min(spec.min_x, lo) >= 0 and max(spec.max_x, spec.max_y) <= GLOBAL_MAX_COORD:
+        names: list[str] = []
+        for column in _COLUMNS[spec.min_x:spec.min_x + spec.size_x + 2]:
+            names += column[lo:hi]
+        return names
+    return [format_position((x, y)) for x in range(spec.min_x - 1, spec.max_x + 2)
+            for y in range(lo - 1, hi - 1)]
+
 
 POSITION_RE = re.compile(r"^\((-?\d+), (-?\d+)\)$")
 
@@ -117,12 +143,8 @@ def render_environment(spec: GridSpec) -> str:
 
 
 def render_instruction(spec: GridSpec) -> list[PromptText]:
-    """The three turns every episode opens with."""
-    return [
-        PromptText(HUMAN, RULES_TEXT),
-        PromptText(GPT, ACK_TEXT),
-        PromptText(HUMAN, render_environment(spec)),
-    ]
+    """The three turns every episode opens with, the first two shared."""
+    return [RULES_TURN, ACK_TURN, PromptText(HUMAN, render_environment(spec))]
 
 
 def parse_action(text: str) -> Action | None:

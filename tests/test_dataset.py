@@ -39,12 +39,12 @@ from gridmind.dataset import (
 )
 from gridmind.generate import TRAIN_PARAMS, generate_indexed
 from gridmind.grid import GridSpec
-from gridmind.prompts import GPT, PromptText
+from gridmind.prompts import ACK_TURN, GPT, HUMAN, RULES_TURN, PromptText
 from gridmind.harness import load_plans
 from gridmind.stats import sidecar_text
 
 import oracles
-from conftest import small_boards
+from conftest import small_boards, translate
 from oracles import record_line, spec_line
 
 FWD_FULL_BT = CotVariant.from_name("fwd-full-bt")
@@ -122,6 +122,38 @@ def test_the_record_line_is_json_dumps_of_its_dict_form(index, cut, text):
         conversation = record.conversation[:3] + [PromptText(GPT, text)]
         record = replace(record, spec=hand, conversation=conversation)
         assert record.to_json_line() == record_line(record)
+
+
+@settings(max_examples=100, deadline=None)
+@given(spec=small_boards(off_board=True), dx=st.integers(-30, 40), dy=st.integers(-30, 40))
+def test_the_record_line_of_cells_past_the_cell_table(spec, dx, dy):
+    """Hand-built cells outside [0, 19]^2 are written as json.dumps writes them."""
+    spec = translate(spec, dx, dy)
+    conversation = [RULES_TURN, ACK_TURN, PromptText(HUMAN, "env"), PromptText(GPT, "up")]
+    record = DatasetRecord(3, "test", FWD_FULL_BT, spec, conversation, 1.5,
+                           dict.fromkeys(LENGTH_KEYS, 0))
+    assert record.to_json_line() == record_line(record)
+
+
+def test_the_record_line_writes_float_and_bool_cells_as_ints():
+    """As ``%d`` writes them, whether the cell table holds an equal cell or not."""
+    record = build_record(split_params("test", seed=5), "test", FWD_FULL_BT, 2)
+    spec = replace(record.spec, walls=frozenset({(1.5, 2), (True, 3.0), (25.9, -1)}),
+                   pits=frozenset({(2.0, 4.0)}))
+    line = replace(record, spec=spec).to_json_line()
+    assert '"walls":[[1,3],[1,2],[25,-1]],"pits":[[2,4]],' in line
+
+
+def test_a_decoded_records_opening_turns_are_written_as_the_built_ones():
+    record = build_record(split_params("test", seed=5), "test", FWD_FULL_BT, 2)
+    decoded = DatasetRecord.from_json_dict(json.loads(record.to_json_line()))
+    built, read = record.conversation, decoded.conversation
+    assert read[:2] == built[:2] and read[0] is not built[0] and read[1] is not built[1]
+    assert read[0].text is not built[0].text
+    assert decoded.to_json_line() == record.to_json_line() == record_line(decoded)
+    # an opening that differs by one character is written as it is
+    edited = replace(decoded, conversation=[read[0]._replace(text=read[0].text + "!")] + read[1:])
+    assert edited.to_json_line() == record_line(edited)
 
 
 def test_same_index_same_environment_across_variants():

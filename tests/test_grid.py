@@ -39,7 +39,7 @@ def one_move(spec, pos, action):
     ``run_episode``, which refuses a goal with no path or two from ``pos``."""
     start = replace(spec, start=pos)
     transcript = render_instruction(start) + [PromptText(GPT, action.value)]
-    result = _play_reachable(start, ScriptedReplies([]), transcript, 0, 2)
+    result = _play_reachable(start, ScriptedReplies([]), transcript, list(transcript), 0, 2)
     if result.outcome is not Outcome.INVALID:
         return result.outcome.value, None
     assert result.steps == 1

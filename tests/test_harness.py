@@ -4,11 +4,13 @@ import hashlib
 import json
 import re
 from dataclasses import replace
+from functools import cached_property
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from gridmind.cogmap import CotVariant, join_reply, render_parts
+from gridmind.dataset import load_specs
 from gridmind.generate import TEST_PARAMS, TRAIN_PARAMS, derive_seed, generate_indexed
 from gridmind.grid import optimal_path
 from gridmind.harness import (
@@ -30,8 +32,8 @@ from gridmind.harness import (
     scripted_agent_factory,
 )
 from gridmind.grid import GridSpec
-from gridmind.prompts import (GPT, HUMAN, RULES_TEXT, parse_observation, render_instruction,
-                              render_observation)
+from gridmind.prompts import (GPT, HUMAN, RULES_TEXT, PromptText, parse_observation,
+                              render_instruction, render_observation)
 
 import oracles
 from conftest import GOLDEN_DIR, ConstantAgent, ScriptedReplies
@@ -271,6 +273,61 @@ def test_run_episode_matches_the_reference_loop(episode):
     assert (result.outcome.value, result.steps) == (outcome, steps)
     assert result.optimal_len == shortest_path_length(spec)
     assert [tuple(turn) for turn in result.transcript] == turns
+
+
+@settings(max_examples=150, deadline=None)
+@given(scripted_episodes(), st.sampled_from(["clear", "overwrite"]))
+def test_an_agent_that_edits_its_list_changes_nothing_scored(episode, edit):
+    """The agent's list is its own: one list per episode, grown by the new
+    turns between calls, whatever the agent does to it."""
+    spec, replies, max_steps = episode
+    handed = []
+
+    class Editing(ScriptedReplies):
+        def respond(self, transcript):
+            handed.append((transcript, len(transcript), transcript[-1]))
+            if edit == "clear":
+                transcript.clear()
+            else:
+                transcript[:] = [PromptText(GPT, "left")] * len(transcript)
+            return super().respond(transcript)
+
+    result = run_episode(spec, Editing(replies), REACHABLE, max_steps)
+    outcome, steps, turns = reachable_episode(spec, replies, max_steps)
+    assert (result.outcome.value, result.steps) == (outcome, steps)
+    assert [tuple(turn) for turn in result.transcript] == turns
+    assert all(seen is handed[0][0] for seen, _, _ in handed)
+    assert [last for _, _, last in handed] == result.transcript[2::2][:len(handed)]
+    # cleared, the list holds the reply and the observation since
+    assert [size for _, size, _ in handed] == [3] + [2 if edit == "clear" else 2 * k + 3
+                                                      for k in range(1, len(handed))]
+
+
+def test_eval_floods_a_board_with_a_loop_off_its_path_once(tmp_path, monkeypatch):
+    """``load_specs`` counts the simple paths, and the episodes read that count."""
+    count = GridSpec._simple_paths.func
+    calls = []
+
+    def counted(spec):
+        calls.append(spec)
+        return count(spec)
+
+    cached = cached_property(counted)
+    cached.__set_name__(GridSpec, "_simple_paths")
+    monkeypatch.setattr(GridSpec, "_simple_paths", cached)
+    # a 2x2 loop on a stem off the corridor y = 0: one path, and no tree
+    loop_off_path = GridSpec(
+        min_x=0, min_y=0, size_x=5, size_y=4, start=(0, 0), goal=(4, 0),
+        walls=frozenset({(0, 1), (1, 1), (3, 1), (4, 1), (0, 2), (3, 2), (4, 2),
+                         (0, 3), (3, 3), (4, 3)}),
+    )
+    path = tmp_path / "specs.jsonl"
+    path.write_text(oracles.spec_line(loop_off_path) + "\n")
+    specs = load_specs(path)
+    assert len(calls) == 1
+    report = evaluate_batch(specs * 3, scripted_agent_factory("dfs", REACHABLE), REACHABLE)
+    assert len(report.episodes) == 3 and not report.aborted
+    assert len(calls) == 1
 
 
 def test_plans_agent_replays_one_move_per_turn(ref_env):

@@ -6,7 +6,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gridmind.grid import Action, GridSpec
+from gridmind.grid import Action, GridSpec, board_index
 from gridmind.generate import TEST_PARAMS, TRAIN_PARAMS, generate_indexed
 from gridmind.prompts import (
     ACK_TEXT,
@@ -14,6 +14,7 @@ from gridmind.prompts import (
     HUMAN,
     RULES_TEXT,
     PromptText,
+    cell_names,
     format_position,
     join_positions,
     parse_action,
@@ -204,3 +205,18 @@ def test_parse_observation_matches_the_line_walk(text):
                  st.integers(0, 10_000)) | small_boards(split=True))
 def test_the_opening_turns_describe_the_whole_board(spec):
     assert oracles.board_from_text(render_instruction(spec)) == replace(spec, seed=None)
+
+
+@settings(max_examples=300, deadline=None)
+@given(w=st.integers(2, 20), h=st.integers(2, 20),
+       ox=st.integers(-30, 40), oy=st.integers(-30, 40))
+def test_cell_names_name_every_board_index(w, h, ox, oy):
+    """The board and its ring, inside the column table or past it, as
+    ``conftest.translate`` moves boards."""
+    spec = GridSpec(min_x=ox, min_y=oy, size_x=w, size_y=h, start=(ox, oy), goal=(ox + 1, oy))
+    names = cell_names(spec)
+    assert len(names) == len(spec.board)
+    for x in range(ox - 1, ox + w + 1):
+        for y in range(oy - 1, oy + h + 1):
+            # spec.cell maps every ring cell to index 0, so index by board_index
+            assert names[board_index(x - ox, y - oy, h)] == format_position((x, y))
